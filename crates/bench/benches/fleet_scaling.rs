@@ -18,7 +18,7 @@ use corpus::Params;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fence_ir::Module;
 use fenceplace::{
-    run_fleet_streamed, run_fleet_with, run_pipeline_batch, FleetJob, FleetOptions, FleetResult,
+    run_fleet_opts, run_fleet_streamed, run_pipeline_batch, FleetJob, FleetOptions, FleetResult,
     FleetStats, PipelineConfig, StreamItem, Variant,
 };
 
@@ -73,7 +73,13 @@ fn bench_fleet(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet_scaling");
     for (label, jobs) in &workloads {
         // The fleet must agree with the loop before we time anything.
-        let (fleet, _) = run_fleet_with(jobs, true);
+        let (fleet, _) = run_fleet_opts(
+            jobs,
+            &FleetOptions {
+                parallel: true,
+                ..FleetOptions::default()
+            },
+        );
         for (job, fr) in jobs.iter().zip(&fleet) {
             let want = run_pipeline_batch(job.module, &job.configs);
             for (w, g) in want.iter().zip(&fr.results) {
@@ -93,10 +99,26 @@ fn bench_fleet(c: &mut Criterion) {
             },
         );
         group.bench_with_input(BenchmarkId::new("fleet_seq", label), jobs, |b, jobs| {
-            b.iter(|| criterion::black_box(run_fleet_with(jobs, false)))
+            b.iter(|| {
+                criterion::black_box(run_fleet_opts(
+                    jobs,
+                    &FleetOptions {
+                        parallel: false,
+                        ..FleetOptions::default()
+                    },
+                ))
+            })
         });
         group.bench_with_input(BenchmarkId::new("fleet_pool", label), jobs, |b, jobs| {
-            b.iter(|| criterion::black_box(run_fleet_with(jobs, true)))
+            b.iter(|| {
+                criterion::black_box(run_fleet_opts(
+                    jobs,
+                    &FleetOptions {
+                        parallel: true,
+                        ..FleetOptions::default()
+                    },
+                ))
+            })
         });
     }
     group.finish();

@@ -9,7 +9,7 @@ pub mod naive;
 
 use corpus::{Params, Program};
 use fenceplace::report::geomean;
-use fenceplace::{run_fleet, run_pipeline, FleetJob, PipelineConfig, Variant};
+use fenceplace::{run_fleet_opts, run_pipeline, FleetJob, FleetOptions, PipelineConfig, Variant};
 use memsim::{SimConfig, Simulator};
 
 /// One row of Table II.
@@ -38,7 +38,7 @@ pub fn table2() -> Vec<Table2Row> {
         .iter()
         .map(|k| FleetJob::new(k.name, &k.module, configs.clone()))
         .collect();
-    let fleet = run_fleet(&jobs);
+    let fleet = run_fleet_opts(&jobs, &FleetOptions::default()).0;
     kernels
         .iter()
         .zip(&fleet)
@@ -149,7 +149,7 @@ pub fn static_rows(p: &Params) -> Vec<StaticRow> {
         .iter()
         .map(|prog| FleetJob::new(prog.name, &prog.module, configs.clone()))
         .collect();
-    let fleet = run_fleet(&jobs);
+    let fleet = run_fleet_opts(&jobs, &FleetOptions::default()).0;
     progs
         .iter()
         .zip(fleet)

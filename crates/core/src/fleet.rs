@@ -1,15 +1,12 @@
-//! The multi-module fleet driver: batch fence placement over many
-//! modules with cross-module pool reuse and per-module fault isolation.
+//! The stage executor: fence placement over many modules with
+//! cross-module pool reuse and per-module fault isolation.
 //!
-//! [`run_pipeline_batch`](crate::run_pipeline_batch) amortizes the
-//! analysis stack across the configs of **one** module, but a corpus
-//! sweep (the CLI's batch workload, the figure harnesses, CI gates) runs
-//! many modules — and driving the batch entry point in a loop re-enters
-//! the persistent [`crate::pool::ThreadPool`] once per module with a
-//! stage barrier at every module boundary, leaving cores idle whenever a
-//! small module can't fill them.
-//!
-//! [`run_fleet`] instead schedules **per-(module, function) work units
+//! Every entry point runs the placement stages through the one executor
+//! in this module: the fleet ([`run_fleet_opts`]), the streamed
+//! schedulers ([`run_fleet_streamed`]), the single-module batch
+//! ([`run_pipeline_batch`](crate::run_pipeline_batch) is a fleet of one)
+//! and the analysis service ([`crate::service`], whose cached state
+//! seeds the executor). It schedules **per-(module, function) work units
 //! from every module at once**. Each pipeline stage becomes one flat
 //! cross-module unit list executed in a single pool pass:
 //!
@@ -20,11 +17,10 @@
 //!    [`ModuleAnalysis`] unit per module (the per-module analysis runs
 //!    sequentially inside its unit, so independent modules fill the
 //!    cores with no nested pool entry) *and* one [`FuncSubstrate`] unit
-//!    per function of any module, built through one fleet-wide
+//!    per function of any module, built through one shared
 //!    [`RowInterner`] so identical reachability rows across repeated
 //!    corpus kernels are stored once. A substrate depends only on the
-//!    IR, never on points-to, so the old analysis-then-cfg barrier was
-//!    a false dependency edge — CFG builds now overlap the points-to
+//!    IR, never on points-to, so CFG builds overlap the points-to
 //!    solves;
 //! 3. *contexts* — one [`FuncContext`] (alias oracle + escape set +
 //!    orderings) per function of any module; the first stage with a
@@ -42,9 +38,8 @@
 //! while one worker finishes the last function of module A, others are
 //! already deep into module Q.
 //! Every unit keys its result by index, so arrival order cannot affect
-//! any output and fleet results are **bit-identical** to running
-//! [`run_pipeline_batch`](crate::run_pipeline_batch) per module —
-//! sequential or parallel (pinned by `tests/fleet.rs`).
+//! any output: sequential and pooled runs are **bit-identical**, and so
+//! is a module run alone or inside a fleet (pinned by `tests/fleet.rs`).
 //!
 //! # Failure isolation
 //!
@@ -68,15 +63,16 @@
 //! * all *other* modules' placements are bit-identical to a run without
 //!   the sick module (pinned by `tests/fleet.rs` and `tests/faults.rs`).
 //!
-//! [`FleetOptions::budget`] adds **deterministic deadlines**: each stage
-//! charges a static instruction-count step cost (never wall-clock) at
-//! its boundary, so a runaway module is demoted to
+//! [`FleetOptions::budget`] adds **deterministic deadlines**: each job
+//! has one `ChargePlan` — a static instruction-count step cost per
+//! stage boundary (never wall-clock) — and the executor charges it stage
+//! by stage, so a runaway module is demoted to
 //! [`ModuleOutcome::DeadlineExceeded`] at the exact same point whether
-//! the fleet runs sequentially or on the pool.
+//! the fleet runs sequentially or on the pool. The service replays the
+//! same plan on a warm cache hit, where no stage runs at all.
 //!
-//! With `isolate: false` the legacy behavior is preserved: a panicking
-//! unit unwinds through the fleet to the caller, exactly like
-//! [`run_pipeline_batch`](crate::run_pipeline_batch).
+//! With `isolate: false` a panicking unit unwinds through the executor
+//! to the caller (the batch entry point's behavior).
 //!
 //! The `faultinject` cargo feature (module `faultinject`) arms
 //! deterministic failures at any (module, stage) point to exercise all
@@ -88,13 +84,14 @@ use crate::faultinject;
 use crate::insert::insert_fences;
 use crate::minimize::FencePoint;
 use crate::pipeline::{
-    finish_function, manual_result, map_indexed, map_indexed_caught, FuncContext, PipelineConfig,
-    PipelineResult, Variant,
+    finish_function, manual_result, FuncContext, PipelineConfig, PipelineResult, Variant,
 };
+use crate::pool::ThreadPool;
 use crate::report::{FleetStage, FuncReport, ModuleOutcome, ModuleReport};
 use fence_analysis::ModuleAnalysis;
 use fence_ir::cfg::{FuncSubstrate, RowInterner};
 use fence_ir::{FuncId, Function, Module};
+use std::sync::{Arc, Mutex};
 
 /// Cap on verifier diagnostics retained per quarantined module — a
 /// deliberately mutilated module can produce one error per instruction,
@@ -267,32 +264,126 @@ fn fold_stats(acc: &mut FleetStats, s: &FleetStats) {
     acc.certify_unsound += s.certify_unsound;
 }
 
-/// Deterministic step cost of one function for one stage pass. Shared
-/// with the service layer, whose warm-cache budget simulation must
-/// charge the exact amounts the fleet would.
-pub(crate) fn func_step_cost(f: &Function) -> u64 {
+/// Deterministic step cost of one function for one stage pass.
+fn func_step_cost(f: &Function) -> u64 {
     (f.num_insts() as u64).max(1)
 }
 
 /// Deterministic step cost of one module-level stage pass.
-pub(crate) fn module_step_cost(m: &Module) -> u64 {
+fn module_step_cost(m: &Module) -> u64 {
     m.funcs.iter().map(func_step_cost).sum::<u64>().max(1)
 }
 
-/// Runs a stage's unit list, catching per-unit panics when isolating.
-/// Shared with the service layer, whose incremental stages must match
-/// the fleet's isolation behavior unit-for-unit.
-pub(crate) fn stage_map<T: Send>(
+/// The static step cost a job is charged at each stage boundary, in
+/// charge order: the module cost at Validate (when validating a
+/// non-empty config list) and at Analysis, Substrates and Contexts (when
+/// any config is automatic); the summed function costs once per distinct
+/// automatic variant (Acquires) and once per automatic config (Tails);
+/// the module cost once per config at Certify. Zero-cost boundaries are
+/// left out. The executor charges from this plan, and the service's warm
+/// path [replays](ChargePlan::replay) it without running any stage.
+#[derive(Clone, Debug)]
+pub(crate) struct ChargePlan(Vec<(FleetStage, u64)>);
+
+impl ChargePlan {
+    pub(crate) fn new(
+        module: &Module,
+        configs: &[PipelineConfig],
+        validate: bool,
+        certify: bool,
+    ) -> Self {
+        let module_cost = module_step_cost(module);
+        let func_sum: u64 = module.funcs.iter().map(func_step_cost).sum();
+        let mut seen = [false; 4];
+        let (mut variants, mut tails) = (0u64, 0u64);
+        for c in configs.iter().filter(|c| c.variant != Variant::Manual) {
+            tails += 1;
+            if !seen[c.variant.idx()] {
+                seen[c.variant.idx()] = true;
+                variants += 1;
+            }
+        }
+        let mut plan = Vec::new();
+        if validate && !configs.is_empty() {
+            plan.push((FleetStage::Validate, module_cost));
+        }
+        if tails > 0 {
+            plan.push((FleetStage::Analysis, module_cost));
+            plan.push((FleetStage::Substrates, module_cost));
+            plan.push((FleetStage::Contexts, module_cost));
+            plan.push((FleetStage::Acquires, variants * func_sum));
+            plan.push((FleetStage::Tails, tails * func_sum));
+        }
+        if certify {
+            plan.push((FleetStage::Certify, configs.len() as u64 * module_cost));
+        }
+        plan.retain(|&(_, cost)| cost > 0);
+        ChargePlan(plan)
+    }
+
+    fn cost(&self, stage: FleetStage) -> Option<u64> {
+        self.0.iter().find(|(s, _)| *s == stage).map(|&(_, c)| c)
+    }
+
+    /// Charges the whole plan to module `name` with no stage running and
+    /// returns the deadline outcome the executor would reach, if any.
+    pub(crate) fn replay(&self, name: &str, budget: Option<u64>) -> Option<ModuleOutcome> {
+        let (mut spent, mut fail) = (0, None);
+        for &(stage, cost) in &self.0 {
+            charge(name, stage, cost, budget, &mut spent, &mut fail);
+        }
+        fail
+    }
+}
+
+/// Runs a stage's unit list, catching per-unit panics when isolating:
+/// every `f(i)` then runs under its own `catch_unwind` (via
+/// [`ThreadPool::run_units`] in parallel mode), so slot `i` becomes
+/// `Err(panic message)` instead of the panic unwinding through the whole
+/// pass. Every unit still executes exactly once and results stay keyed
+/// by index, so sequential and pooled runs are bit-identical — including
+/// *which* units failed.
+fn stage_map<T: Send>(
     n: usize,
     parallel: bool,
     isolate: bool,
     f: impl Fn(usize) -> T + Sync,
 ) -> Vec<Result<T, String>> {
-    if isolate {
-        map_indexed_caught(n, parallel, f)
-    } else {
-        map_indexed(n, parallel, f).into_iter().map(Ok).collect()
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let pool = ThreadPool::global();
+    if !isolate {
+        return pool
+            .map_indexed(n, parallel, f)
+            .into_iter()
+            .map(Ok)
+            .collect();
     }
+    if !parallel || n <= 1 {
+        return (0..n)
+            .map(|i| {
+                catch_unwind(AssertUnwindSafe(|| f(i)))
+                    .map_err(|p| crate::pool::panic_message(p.as_ref()))
+            })
+            .collect();
+    }
+    let collected: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
+    let panics = pool.run_units(n, &|i| {
+        let v = f(i);
+        collected.lock().unwrap().push((i, v));
+    });
+    let mut slots: Vec<Option<Result<T, String>>> = (0..n).map(|_| None).collect();
+    for (i, v) in collected.into_inner().unwrap() {
+        slots[i] = Some(Ok(v));
+    }
+    for (i, p) in panics.into_iter().enumerate() {
+        if let Some(msg) = p {
+            slots[i] = Some(Err(msg));
+        }
+    }
+    slots
+        .into_iter()
+        .map(|s| s.expect("every unit ran or panicked"))
+        .collect()
 }
 
 /// Folds a stage's unit results into per-module quarantine state: the
@@ -321,42 +412,40 @@ fn absorb<T>(
         .collect()
 }
 
-/// Charges `cost` (plus any injected cost) to module `j` at a stage
+/// Charges `cost` (plus any injected cost) to module `name` at a stage
 /// boundary and trips the deadline if the budget is exceeded. No-op for
-/// already-quarantined modules, so a panic outcome always wins over a
+/// an already-quarantined module, so a panic outcome always wins over a
 /// same-stage deadline.
 fn charge(
-    j: usize,
     name: &str,
     stage: FleetStage,
     cost: u64,
     budget: Option<u64>,
-    spent: &mut [u64],
-    fail: &mut [Option<ModuleOutcome>],
+    spent: &mut u64,
+    fail: &mut Option<ModuleOutcome>,
 ) {
-    if fail[j].is_some() {
+    if fail.is_some() {
         return;
     }
-    let cost = cost.saturating_add(faultinject::extra_cost(name, stage));
-    spent[j] = spent[j].saturating_add(cost);
+    *spent = spent.saturating_add(cost.saturating_add(faultinject::extra_cost(name, stage)));
     if let Some(b) = budget {
-        if spent[j] > b {
-            fail[j] = Some(ModuleOutcome::DeadlineExceeded {
+        if *spent > b {
+            *fail = Some(ModuleOutcome::DeadlineExceeded {
                 stage,
-                spent: spent[j],
+                spent: *spent,
                 budget: b,
             });
         }
     }
 }
 
-/// Runs the fleet with the default [`FleetOptions`]: parallel on the
-/// persistent pool, per-module fault isolation, IR validation gate, no
-/// deadline. See [`run_fleet_opts`] for the knobs and work stats.
+/// Runs the fleet under explicit [`FleetOptions`]. See the module docs
+/// for the stage structure and the failure-isolation contract. Returns
+/// the results together with the run's [`FleetStats`].
 ///
 /// ```
 /// use fence_ir::builder::{FunctionBuilder, ModuleBuilder};
-/// use fenceplace::fleet::{run_fleet, FleetJob};
+/// use fenceplace::fleet::{run_fleet_opts, FleetJob, FleetOptions};
 /// use fenceplace::{PipelineConfig, Variant};
 ///
 /// let build = |name: &str| {
@@ -373,51 +462,100 @@ fn charge(
 /// let (a, b) = (build("a"), build("b"));
 /// let configs: Vec<PipelineConfig> =
 ///     Variant::automatic().map(PipelineConfig::for_variant).into();
-/// let fleet = run_fleet(&[
+/// let jobs = [
 ///     FleetJob::new("a", &a, configs.clone()),
 ///     FleetJob::new("b", &b, configs),
-/// ]);
+/// ];
+/// let (fleet, stats) = run_fleet_opts(&jobs, &FleetOptions::default());
 /// assert_eq!(fleet.len(), 2);
 /// assert!(fleet[0].outcome.is_ok());
 /// assert_eq!(fleet[0].results.len(), 3);
+/// assert_eq!(stats.analyses, 2, "one analysis per module");
 /// // Identical modules get identical placements.
 /// assert_eq!(fleet[0].results[0].points, fleet[1].results[0].points);
 /// ```
-pub fn run_fleet(jobs: &[FleetJob]) -> Vec<FleetResult> {
-    run_fleet_opts(jobs, &FleetOptions::default()).0
-}
-
-/// Runs the fleet, optionally scheduling the flattened cross-module unit
-/// lists on the persistent pool (`parallel`), with the remaining
-/// [`FleetOptions`] at their defaults (isolating, validating, no
-/// deadline). Returns the results together with the run's
-/// [`FleetStats`]. Sequential and parallel runs are bit-identical:
-/// every stage keys its results by unit index.
-pub fn run_fleet_with(jobs: &[FleetJob], parallel: bool) -> (Vec<FleetResult>, FleetStats) {
-    run_fleet_opts(
-        jobs,
-        &FleetOptions {
-            parallel,
-            ..FleetOptions::default()
-        },
-    )
-}
-
-/// Runs the fleet under explicit [`FleetOptions`]. See the module docs
-/// for the stage structure and the failure-isolation contract.
 pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResult>, FleetStats) {
+    let (results, stats, _) = execute(jobs, Vec::new(), &RowInterner::new(), opts, true);
+    (results, stats)
+}
+
+/// Already-built state a job donates to [`execute`] (the service's
+/// cache). Donated units are skipped, but the job is still charged the
+/// donated plan in full, so budgets trip exactly where a cold run of
+/// the whole request would trip them.
+pub(crate) struct Seed<'s> {
+    /// Charge plan of the whole request; the job itself may carry only
+    /// the configs the cache has no report for.
+    pub plan: ChargePlan,
+    /// The module-wide analysis, if already built.
+    pub analysis: Option<&'s ModuleAnalysis>,
+    /// One entry per function; `None` marks a substrate still to build.
+    pub substrates: Vec<Option<Arc<FuncSubstrate>>>,
+}
+
+/// What [`execute`] built for one job, handed back so a cache can keep
+/// it.
+pub(crate) struct Built {
+    /// The module analysis, when this run built it.
+    pub analysis: Option<ModuleAnalysis>,
+    /// Every function's substrate (donated or built), or `None` when
+    /// some function has none (a unit failed, or no automatic config
+    /// needed the substrates).
+    pub substrates: Option<Vec<Arc<FuncSubstrate>>>,
+}
+
+/// The stage executor behind every entry point (see the module docs).
+/// `seeds` is empty or holds one optional [`Seed`] per job; substrates
+/// are interned through `interner`. With `instrument: false` each
+/// result's `module` is left empty: a caller that only renders reports
+/// (the service) skips the module clone that fence insertion makes.
+pub(crate) fn execute(
+    jobs: &[FleetJob],
+    mut seeds: Vec<Option<Seed<'_>>>,
+    interner: &RowInterner,
+    opts: &FleetOptions,
+    instrument: bool,
+) -> (Vec<FleetResult>, FleetStats, Vec<Built>) {
     let nj = jobs.len();
     let (parallel, isolate) = (opts.parallel, opts.isolate);
+    seeds.resize_with(nj, || None);
+    let plans: Vec<ChargePlan> = jobs
+        .iter()
+        .zip(&seeds)
+        .map(|(job, seed)| match seed {
+            Some(s) => s.plan.clone(),
+            None => ChargePlan::new(
+                job.module,
+                &job.configs,
+                opts.validate,
+                opts.certify.is_some(),
+            ),
+        })
+        .collect();
 
     // Per-module quarantine state and deterministic step spend. `fail`
     // is only written between stages (from unit results, in unit-index
     // order), never concurrently.
-    let mut fail: Vec<Option<ModuleOutcome>> = (0..nj).map(|_| None).collect();
+    let mut fail: Vec<Option<ModuleOutcome>> = vec![None; nj];
     let mut spent: Vec<u64> = vec![0; nj];
+    let charge_stage =
+        |stage: FleetStage, spent: &mut [u64], fail: &mut [Option<ModuleOutcome>]| {
+            for (j, plan) in plans.iter().enumerate() {
+                if let Some(cost) = plan.cost(stage) {
+                    charge(
+                        &jobs[j].name,
+                        stage,
+                        cost,
+                        opts.budget,
+                        &mut spent[j],
+                        &mut fail[j],
+                    );
+                }
+            }
+        };
 
-    // Which jobs need the analysis stack at all: mirror the batch entry
-    // point, which skips the analysis for all-`Manual` (or empty) config
-    // lists.
+    // Which jobs need the analysis stack at all: all-`Manual` (or empty)
+    // config lists skip it.
     let needs: Vec<bool> = jobs
         .iter()
         .map(|j| j.configs.iter().any(|c| c.variant != Variant::Manual))
@@ -462,64 +600,66 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
                 }
             }
         }
-        for &j in &vjobs {
-            charge(
-                j,
-                &jobs[j].name,
-                FleetStage::Validate,
-                module_step_cost(jobs[j].module),
-                opts.budget,
-                &mut spent,
-                &mut fail,
-            );
-        }
     }
+    charge_stage(FleetStage::Validate, &mut spent, &mut fail);
 
     // ---- stages 1+2, one overlapped pool pass: analyses + substrates ----
     // A `FuncSubstrate` depends only on the IR, never on the module
-    // analysis, so the strict analysis-then-cfg barrier is replaced by a
-    // single combined unit list: one `ModuleAnalysis` unit per module
-    // (sequential *inside* its unit — nesting the pool would deadlock)
-    // followed by one substrate unit per function of any module, rows
-    // interned fleet-wide. While one worker grinds a big module's
-    // points-to, others already build CFGs — of that module and every
-    // other. Only the context stage carries a true edge on both.
+    // analysis, so there is no analysis-then-cfg barrier: one combined
+    // unit list holds one `ModuleAnalysis` unit per module (sequential
+    // *inside* its unit — nesting the pool would deadlock) followed by
+    // one substrate unit per function of any module, rows interned
+    // through one interner. While one worker grinds a big module's
+    // points-to, others already build CFGs. Only the context stage
+    // carries a true edge on both. Donated analyses and substrates get
+    // no unit.
     //
-    // Quarantine semantics are preserved exactly: analysis units come
-    // *first* in the combined list and their results are absorbed first,
-    // so a module failing both stages is still attributed to
-    // [`FleetStage::Analysis`], and the per-stage `charge` calls keep
-    // their original boundary order. A module quarantined by its
-    // analysis unit now also ran its substrate units, but their results
-    // are discarded like any post-failure stage output.
+    // Analysis units come *first* in the combined list and their results
+    // are absorbed (and the Analysis boundary charged) first, so a
+    // module failing both stages is attributed to
+    // [`FleetStage::Analysis`]. A module quarantined by its analysis unit
+    // still ran its substrate units; their results are discarded like
+    // any post-failure stage output.
     let analysis_jobs: Vec<usize> = (0..nj).filter(|&j| needs[j] && fail[j].is_none()).collect();
     let mut func_units: Vec<(u32, u32)> = Vec::new();
     let mut func_off: Vec<usize> = vec![usize::MAX; nj];
+    let mut substrates: Vec<Option<Arc<FuncSubstrate>>> = Vec::new();
     for &j in &analysis_jobs {
         func_off[j] = func_units.len();
-        for f in 0..jobs[j].module.funcs.len() {
-            func_units.push((j as u32, f as u32));
+        let n = jobs[j].module.funcs.len();
+        func_units.extend((0..n).map(|f| (j as u32, f as u32)));
+        match seeds[j].as_mut() {
+            Some(seed) => substrates.append(&mut seed.substrates),
+            None => substrates.resize(func_units.len(), None),
         }
     }
+    let seeded_analysis = |j: usize| seeds[j].as_ref().and_then(|s| s.analysis);
+    let analysis_units: Vec<usize> = analysis_jobs
+        .iter()
+        .copied()
+        .filter(|&j| seeded_analysis(j).is_none())
+        .collect();
+    let substrate_units: Vec<usize> = (0..func_units.len())
+        .filter(|&u| substrates[u].is_none())
+        .collect();
     enum BuildUnit {
         Analysis(ModuleAnalysis),
         Substrate(FuncSubstrate),
     }
-    let na = analysis_jobs.len();
-    let interner = RowInterner::new();
+    let na = analysis_units.len();
     let bres: Vec<Result<BuildUnit, String>> =
-        stage_map(na + func_units.len(), parallel, isolate, |u| {
+        stage_map(na + substrate_units.len(), parallel, isolate, |u| {
             if u < na {
-                let j = analysis_jobs[u];
+                let j = analysis_units[u];
                 faultinject::panic_point(&jobs[j].name, FleetStage::Analysis);
                 BuildUnit::Analysis(ModuleAnalysis::run_on(jobs[j].module, false))
             } else {
-                let (j, f) = func_units[u - na];
+                let (j, f) = func_units[substrate_units[u - na]];
                 let j = j as usize;
                 faultinject::panic_point(&jobs[j].name, FleetStage::Substrates);
                 BuildUnit::Substrate(FuncSubstrate::new_interned(
                     jobs[j].module.func(FuncId::new(f as usize)),
-                    &interner,
+                    interner,
                 ))
             }
         });
@@ -543,42 +683,27 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
         })
         .collect();
     let mut analyses: Vec<Option<ModuleAnalysis>> = (0..nj).map(|_| None).collect();
-    for (k, a) in absorb(ares, FleetStage::Analysis, |k| analysis_jobs[k], &mut fail)
+    for (k, a) in absorb(ares, FleetStage::Analysis, |k| analysis_units[k], &mut fail)
         .into_iter()
         .enumerate()
     {
-        analyses[analysis_jobs[k]] = a;
+        analyses[analysis_units[k]] = a;
     }
-    for &j in &analysis_jobs {
-        charge(
-            j,
-            &jobs[j].name,
-            FleetStage::Analysis,
-            module_step_cost(jobs[j].module),
-            opts.budget,
-            &mut spent,
-            &mut fail,
-        );
+    charge_stage(FleetStage::Analysis, &mut spent, &mut fail);
+    let job_of_substrate = |k: usize| func_units[substrate_units[k]].0 as usize;
+    for (k, s) in absorb(sres, FleetStage::Substrates, job_of_substrate, &mut fail)
+        .into_iter()
+        .enumerate()
+    {
+        substrates[substrate_units[k]] = s.map(Arc::new);
     }
-    let substrates = absorb(
-        sres,
-        FleetStage::Substrates,
-        |u| func_units[u].0 as usize,
-        &mut fail,
-    );
-    for j in 0..nj {
-        if func_off[j] != usize::MAX {
-            charge(
-                j,
-                &jobs[j].name,
-                FleetStage::Substrates,
-                module_step_cost(jobs[j].module),
-                opts.budget,
-                &mut spent,
-                &mut fail,
-            );
-        }
-    }
+    charge_stage(FleetStage::Substrates, &mut spent, &mut fail);
+    let analysis_of = |j: usize| {
+        analyses[j]
+            .as_ref()
+            .or_else(|| seeded_analysis(j))
+            .expect("analysis for job")
+    };
 
     // ---- stage 3: per-function contexts, same flat unit list ----
     // The list still contains units of modules that failed during the
@@ -595,8 +720,8 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
             faultinject::panic_point(&jobs[j].name, FleetStage::Contexts);
             Some(FuncContext::build(
                 jobs[j].module,
-                analyses[j].as_ref().expect("analysis for job"),
-                substrates[u].as_ref().expect("substrate for unit"),
+                analysis_of(j),
+                substrates[u].as_deref().expect("substrate for unit"),
                 FuncId::new(f as usize),
             ))
         });
@@ -609,26 +734,13 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
     .into_iter()
     .map(|o| o.flatten())
     .collect();
-    for j in 0..nj {
-        if func_off[j] != usize::MAX && ctx_alive[j] {
-            charge(
-                j,
-                &jobs[j].name,
-                FleetStage::Contexts,
-                module_step_cost(jobs[j].module),
-                opts.budget,
-                &mut spent,
-                &mut fail,
-            );
-        }
-    }
+    charge_stage(FleetStage::Contexts, &mut spent, &mut fail);
 
     // ---- stage 4: acquire info per (module, distinct variant, function) ----
-    // Distinct variants in config order per job, mirroring the batch's
-    // per-variant cache fill. Quarantined modules get no units.
+    // Distinct variants in config order per job. Quarantined modules get
+    // no units.
     let mut acq_units: Vec<(u32, Variant, u32)> = Vec::new();
     let mut acq_slot: Vec<[Option<usize>; 4]> = vec![[None; 4]; nj];
-    let mut acq_cost: Vec<u64> = vec![0; nj];
     for (j, job) in jobs.iter().enumerate() {
         if !needs[j] || fail[j].is_some() {
             continue;
@@ -639,10 +751,8 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
                 continue;
             }
             acq_slot[j][slot] = Some(acq_units.len());
-            for (f, func) in job.module.funcs.iter().enumerate() {
-                acq_units.push((j as u32, config.variant, f as u32));
-                acq_cost[j] += func_step_cost(func);
-            }
+            let n = job.module.funcs.len() as u32;
+            acq_units.extend((0..n).map(|f| (j as u32, config.variant, f)));
         }
     }
     let aqres: Vec<Result<AcquireInfo, String>> =
@@ -653,11 +763,7 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
             contexts[func_off[j] + f]
                 .as_ref()
                 .expect("context for unit")
-                .acquire_info(
-                    jobs[j].module,
-                    analyses[j].as_ref().expect("analysis for job"),
-                    variant,
-                )
+                .acquire_info(jobs[j].module, analysis_of(j), variant)
         });
     let acquire_infos = absorb(
         aqres,
@@ -665,40 +771,23 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
         |u| acq_units[u].0 as usize,
         &mut fail,
     );
-    for j in 0..nj {
-        if acq_cost[j] > 0 {
-            charge(
-                j,
-                &jobs[j].name,
-                FleetStage::Acquires,
-                acq_cost[j],
-                opts.budget,
-                &mut spent,
-                &mut fail,
-            );
-        }
-    }
+    charge_stage(FleetStage::Acquires, &mut spent, &mut fail);
 
     // ---- stage 5: config tails ----
     // Per-(module, config, *function*) units, so a large module's
-    // pruning/minimization shards across the pool exactly like the
-    // batch driver's per-function tail — the per-config assembly
-    // (fence insertion into a fresh module clone, report collection)
-    // then runs on the caller, same as the batch entry point.
+    // pruning/minimization shards across the pool; the per-config
+    // assembly (fence insertion into a fresh module clone, report
+    // collection) then runs on the caller.
     let tails_alive: Vec<bool> = fail.iter().map(|o| o.is_none()).collect();
     let mut tail_units: Vec<(u32, u32, u32)> = Vec::new();
-    let mut tail_cost: Vec<u64> = vec![0; nj];
     for (j, job) in jobs.iter().enumerate() {
         if !tails_alive[j] {
             continue;
         }
         for (c, config) in job.configs.iter().enumerate() {
-            if config.variant == Variant::Manual {
-                continue;
-            }
-            for (f, func) in job.module.funcs.iter().enumerate() {
-                tail_units.push((j as u32, c as u32, f as u32));
-                tail_cost[j] += func_step_cost(func);
+            if config.variant != Variant::Manual {
+                let n = job.module.funcs.len() as u32;
+                tail_units.extend((0..n).map(|f| (j as u32, c as u32, f)));
             }
         }
     }
@@ -710,7 +799,7 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
             faultinject::panic_point(&job.name, FleetStage::Tails);
             finish_function(
                 job.module,
-                analyses[j].as_ref().expect("analysis for job"),
+                analysis_of(j),
                 contexts[func_off[j] + f]
                     .as_ref()
                     .expect("context for unit"),
@@ -726,19 +815,12 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
         |u| tail_units[u].0 as usize,
         &mut fail,
     );
-    for j in 0..nj {
-        if tail_cost[j] > 0 {
-            charge(
-                j,
-                &jobs[j].name,
-                FleetStage::Tails,
-                tail_cost[j],
-                opts.budget,
-                &mut spent,
-                &mut fail,
-            );
-        }
-    }
+    charge_stage(FleetStage::Tails, &mut spent, &mut fail);
+    // The per-function analysis state is done with: free it before the
+    // instrumented module clones are assembled, so the two never peak
+    // together.
+    drop(contexts);
+    drop(acquire_infos);
 
     // Tail units were generated in (job, config, function) order over
     // the modules alive at the tails barrier, so one running cursor
@@ -769,9 +851,12 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
                     funcs.push(report);
                     points.extend(pts);
                 }
-                let instrumented = insert_fences(job.module, &points);
+                let module = match instrument {
+                    true => insert_fences(job.module, &points),
+                    false => Module::new(job.module.name.clone()),
+                };
                 results.push(PipelineResult {
-                    module: instrumented,
+                    module,
                     points,
                     report: ModuleReport {
                         module_name: job.module.name.clone(),
@@ -792,15 +877,8 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
     let mut certs_per_job: Vec<Vec<CertifyReport>> = (0..nj).map(|_| Vec::new()).collect();
     if let Some(copts) = opts.certify {
         let mut cert_units: Vec<(u32, u32)> = Vec::new();
-        let mut cert_cost: Vec<u64> = vec![0; nj];
-        for (j, job) in jobs.iter().enumerate() {
-            if fail[j].is_some() {
-                continue;
-            }
-            for c in 0..results_per_job[j].len() {
-                cert_units.push((j as u32, c as u32));
-                cert_cost[j] += module_step_cost(job.module);
-            }
+        for j in (0..nj).filter(|&j| fail[j].is_none()) {
+            cert_units.extend((0..results_per_job[j].len()).map(|c| (j as u32, c as u32)));
         }
         let crres: Vec<Result<CertifyReport, String>> =
             stage_map(cert_units.len(), parallel, isolate, |u| {
@@ -827,27 +905,15 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
                 certs_per_job[cert_units[u].0 as usize].push(rep);
             }
         }
-        for j in 0..nj {
-            if cert_cost[j] > 0 {
-                charge(
-                    j,
-                    &jobs[j].name,
-                    FleetStage::Certify,
-                    cert_cost[j],
-                    opts.budget,
-                    &mut spent,
-                    &mut fail,
-                );
-            }
-        }
+        charge_stage(FleetStage::Certify, &mut spent, &mut fail);
     }
 
     let stats = FleetStats {
         modules: nj,
         functions: func_units.len(),
         configs: jobs.iter().map(|j| j.configs.len()).sum(),
-        analyses: analysis_jobs.len(),
-        substrates: func_units.len(),
+        analyses: analysis_units.len(),
+        substrates: substrate_units.len(),
         unique_rows: interner.unique_rows(),
         row_hits: interner.hits(),
         row_words: interner.retained_words(),
@@ -865,6 +931,7 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
     };
 
     let mut out = Vec::with_capacity(nj);
+    let mut built = Vec::with_capacity(nj);
     for (j, job) in jobs.iter().enumerate() {
         let outcome = fail[j].take().unwrap_or(ModuleOutcome::Ok);
         // A module quarantined at any stage — certification included —
@@ -883,8 +950,55 @@ pub fn run_fleet_opts(jobs: &[FleetJob], opts: &FleetOptions) -> (Vec<FleetResul
             results,
             certifications,
         });
+        let off = func_off[j];
+        built.push(Built {
+            analysis: analyses[j].take(),
+            substrates: (off != usize::MAX)
+                .then(|| {
+                    substrates[off..off + job.module.funcs.len()]
+                        .iter()
+                        .cloned()
+                        .collect()
+                })
+                .flatten(),
+        });
     }
-    (out, stats)
+    (out, stats, built)
+}
+
+/// Parses one module text under the fleet's ingest rules: the
+/// [`FleetStage::Ingest`] fault hooks, per-unit isolation, and the
+/// Ingest-boundary charge. Normal ingest charges **zero** steps —
+/// resident runs never see this stage, and streamed budget outcomes must
+/// match resident ones exactly — so only injected costs can trip an
+/// ingest deadline. An unparsable text is quarantined as
+/// [`ModuleOutcome::InvalidIr`].
+pub(crate) fn ingest(
+    name: &str,
+    text: &str,
+    isolate: bool,
+    budget: Option<u64>,
+) -> Result<Module, ModuleOutcome> {
+    let parse = || {
+        faultinject::panic_point(name, FleetStage::Ingest);
+        fence_ir::parser::parse_module(&faultinject::ingest_view(name, text))
+    };
+    let parsed = if isolate {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(parse)).map_err(|p| {
+            ModuleOutcome::Panicked {
+                stage: FleetStage::Ingest,
+                message: crate::pool::panic_message(p.as_ref()),
+            }
+        })?
+    } else {
+        parse()
+    };
+    let module = parsed.map_err(|e| ModuleOutcome::InvalidIr {
+        errors: vec![format!("parse error: {e}")],
+    })?;
+    let (mut spent, mut fail) = (0, None);
+    charge(name, FleetStage::Ingest, 0, budget, &mut spent, &mut fail);
+    fail.map_or(Ok(module), Err)
 }
 
 // ---------------------------------------------------------------------
@@ -934,50 +1048,6 @@ pub struct StreamSummary {
     pub name: String,
     /// Terminal status (exactly what the sink's [`FleetResult`] carried).
     pub outcome: ModuleOutcome,
-}
-
-/// The ingest work of one text: injected panic point, fault view, parse.
-/// Pure (no shared state), so it parallelizes like any other unit.
-fn ingest_parse(name: &str, text: &str) -> Result<Module, fence_ir::parser::ParseError> {
-    faultinject::panic_point(name, FleetStage::Ingest);
-    let view = faultinject::ingest_view(name, text);
-    fence_ir::parser::parse_module(&view)
-}
-
-/// One ingest attempt: `Err(panic message)` from isolation, or the
-/// parse result.
-type IngestAttempt = Result<Result<Module, fence_ir::parser::ParseError>, String>;
-
-/// Folds an ingest attempt into a module or a quarantine outcome.
-/// Normal ingest charges **zero** steps — resident runs never see this
-/// stage, and streamed budget outcomes must match resident ones exactly
-/// — so only injected costs can trip an ingest deadline. A caught panic
-/// wins over a same-stage deadline, mirroring [`charge`].
-fn finish_ingest(
-    name: &str,
-    attempt: IngestAttempt,
-    budget: Option<u64>,
-) -> Result<Module, ModuleOutcome> {
-    match attempt {
-        Err(message) => Err(ModuleOutcome::Panicked {
-            stage: FleetStage::Ingest,
-            message,
-        }),
-        Ok(Err(e)) => Err(ModuleOutcome::InvalidIr {
-            errors: vec![format!("parse error: {e}")],
-        }),
-        Ok(Ok(module)) => {
-            let extra = faultinject::extra_cost(name, FleetStage::Ingest);
-            match budget {
-                Some(b) if extra > b => Err(ModuleOutcome::DeadlineExceeded {
-                    stage: FleetStage::Ingest,
-                    spent: extra,
-                    budget: b,
-                }),
-                _ => Ok(module),
-            }
-        }
-    }
 }
 
 /// An empty [`FleetResult`] for an item quarantined before any pipeline
@@ -1167,13 +1237,13 @@ where
             }
         }
     }
-    // One pooled ingest pass, unit-isolated exactly like any stage.
-    let attempts: Vec<IngestAttempt> = stage_map(texts.len(), opts.parallel, opts.isolate, |k| {
+    // One pooled ingest pass, one unit per text.
+    let ingested = ThreadPool::global().map_indexed(texts.len(), opts.parallel, |k| {
         let (_, name, text) = &texts[k];
-        ingest_parse(name, text)
+        ingest(name, text, opts.isolate, opts.budget)
     });
-    for ((i, name, _), attempt) in texts.into_iter().zip(attempts) {
-        slots[i] = match finish_ingest(&name, attempt, opts.budget) {
+    for ((i, name, _), ingested) in texts.into_iter().zip(ingested) {
+        slots[i] = match ingested {
             Ok(module) => Slot::Run(name, module),
             Err(outcome) => Slot::Quarantined(name, outcome),
         };
@@ -1236,7 +1306,7 @@ where
     I: Iterator<Item = StreamItem> + Send,
     F: FnMut(usize, FleetResult) + Send,
 {
-    use std::sync::{Condvar, Mutex};
+    use std::sync::Condvar;
 
     let state = Mutex::new(StreamState {
         source,
@@ -1297,15 +1367,7 @@ where
                 sink.lock().unwrap()(index, empty_result(name, outcome));
             }
             StreamTask::Ingest { index, name, text } => {
-                let attempt: IngestAttempt = if opts.isolate {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        ingest_parse(&name, &text)
-                    }))
-                    .map_err(|p| crate::pool::panic_message(p.as_ref()))
-                } else {
-                    Ok(ingest_parse(&name, &text))
-                };
-                match finish_ingest(&name, attempt, opts.budget) {
+                match ingest(&name, &text, opts.isolate, opts.budget) {
                     Ok(module) => {
                         let mut st = state.lock().unwrap();
                         st.resident_insts += module.total_insts() as u64;
@@ -1353,7 +1415,7 @@ where
         work.notify_all();
     };
 
-    let pool = crate::pool::ThreadPool::global();
+    let pool = ThreadPool::global();
     let tasks = if opts.parallel {
         window.min(pool.workers() + 1)
     } else {
@@ -1430,6 +1492,14 @@ mod tests {
         v
     }
 
+    /// Default options with the given scheduling.
+    fn sched(parallel: bool) -> FleetOptions {
+        FleetOptions {
+            parallel,
+            ..FleetOptions::default()
+        }
+    }
+
     fn assert_same_results(a: &FleetResult, b: &FleetResult) {
         assert_eq!(a.results.len(), b.results.len());
         for (x, y) in a.results.iter().zip(&b.results) {
@@ -1445,7 +1515,7 @@ mod tests {
 
     #[test]
     fn empty_fleet() {
-        let (results, stats) = run_fleet_with(&[], false);
+        let (results, stats) = run_fleet_opts(&[], &sched(false));
         assert!(results.is_empty());
         assert_eq!(stats.modules, 0);
         assert_eq!(stats.analyses, 0);
@@ -1456,7 +1526,7 @@ mod tests {
     #[test]
     fn empty_configs_job_runs_nothing() {
         let m = spin_module("m", 2);
-        let (results, stats) = run_fleet_with(&[FleetJob::new("m", &m, Vec::new())], false);
+        let (results, stats) = run_fleet_opts(&[FleetJob::new("m", &m, Vec::new())], &sched(false));
         assert_eq!(results.len(), 1);
         assert!(results[0].results.is_empty());
         assert!(results[0].outcome.is_ok());
@@ -1467,13 +1537,13 @@ mod tests {
     #[test]
     fn manual_only_job_skips_analysis() {
         let m = spin_module("m", 2);
-        let (results, stats) = run_fleet_with(
+        let (results, stats) = run_fleet_opts(
             &[FleetJob::new(
                 "m",
                 &m,
                 vec![PipelineConfig::for_variant(Variant::Manual)],
             )],
-            false,
+            &sched(false),
         );
         assert_eq!(stats.analyses, 0);
         assert_eq!(stats.substrates, 0);
@@ -1491,7 +1561,7 @@ mod tests {
             FleetJob::new("b", &b, configs.clone()),
         ];
         for parallel in [false, true] {
-            let (fleet, _) = run_fleet_with(&jobs, parallel);
+            let (fleet, _) = run_fleet_opts(&jobs, &sched(parallel));
             for (job, got) in jobs.iter().zip(&fleet) {
                 assert!(got.outcome.is_ok());
                 let want = run_pipeline_batch(job.module, &job.configs);
@@ -1514,13 +1584,13 @@ mod tests {
         let a = spin_module("a", 4);
         let b = spin_module("b", 4);
         let configs = vec![PipelineConfig::for_variant(Variant::Control)];
-        let (_, solo) = run_fleet_with(&[FleetJob::new("a", &a, configs.clone())], false);
-        let (_, both) = run_fleet_with(
+        let (_, solo) = run_fleet_opts(&[FleetJob::new("a", &a, configs.clone())], &sched(false));
+        let (_, both) = run_fleet_opts(
             &[
                 FleetJob::new("a", &a, configs.clone()),
                 FleetJob::new("b", &b, configs.clone()),
             ],
-            false,
+            &sched(false),
         );
         assert_eq!(
             both.unique_rows, solo.unique_rows,
@@ -1537,12 +1607,12 @@ mod tests {
         let configs = sweep_configs(); // 8 configs, 3 distinct automatic variants
         let runs_before = fence_analysis::analysis_runs();
         let cfg_before = fence_ir::cfg::cfg_builds();
-        let (_, stats) = run_fleet_with(
+        let (_, stats) = run_fleet_opts(
             &[
                 FleetJob::new("a", &a, configs.clone()),
                 FleetJob::new("b", &b, configs),
             ],
-            false, // sequential: thread-local counters observe everything
+            &sched(false), // sequential: thread-local counters observe everything
         );
         assert_eq!(stats.analyses, 2, "one ModuleAnalysis per module");
         assert_eq!(stats.substrates, 5, "one substrate per function");
@@ -1566,14 +1636,14 @@ mod tests {
             FleetJob::new("a", &a, configs.clone()),
             FleetJob::new("c", &c, configs.clone()),
         ];
-        let (want, _) = run_fleet_with(&healthy_jobs, false);
+        let (want, _) = run_fleet_opts(&healthy_jobs, &sched(false));
         for parallel in [false, true] {
             let jobs = [
                 FleetJob::new("a", &a, configs.clone()),
                 FleetJob::new("bad", &bad, configs.clone()),
                 FleetJob::new("c", &c, configs.clone()),
             ];
-            let (got, stats) = run_fleet_with(&jobs, parallel);
+            let (got, stats) = run_fleet_opts(&jobs, &sched(parallel));
             assert_eq!(stats.failed, 1);
             match &got[1].outcome {
                 ModuleOutcome::InvalidIr { errors } => {
@@ -1622,7 +1692,7 @@ mod tests {
         }
         assert!(got[1].results.is_empty());
         // The healthy module still matches a clean run.
-        let (want, _) = run_fleet_with(&jobs[..1], false);
+        let (want, _) = run_fleet_opts(&jobs[..1], &sched(false));
         assert_same_results(&got[0], &want[0]);
     }
 
@@ -1680,7 +1750,7 @@ mod tests {
         }
         assert_eq!(statuses[0], statuses[1], "seq and pooled verdicts agree");
         // Disabled by default: no reports, zero stats.
-        let (got, stats) = run_fleet_with(&[FleetJob::new("a", &a, configs)], false);
+        let (got, stats) = run_fleet_opts(&[FleetJob::new("a", &a, configs)], &sched(false));
         assert!(got[0].certifications.is_empty());
         assert_eq!(stats.certifications, 0);
     }
@@ -1734,7 +1804,7 @@ mod tests {
             .iter()
             .map(|(n, m)| FleetJob::new(*n, m, configs.clone()))
             .collect();
-        let (want, wstats) = run_fleet_with(&jobs, false);
+        let (want, wstats) = run_fleet_opts(&jobs, &sched(false));
         for parallel in [false, true] {
             for window in [None, Some(1), Some(2), Some(64)] {
                 let opts = FleetOptions {
@@ -1820,9 +1890,9 @@ mod tests {
                 let parsed =
                     fence_ir::parser::parse_module(&fence_ir::printer::print_module(&good))
                         .unwrap();
-                let (want_parsed, _) = run_fleet_with(
+                let (want_parsed, _) = run_fleet_opts(
                     &[FleetJob::new("stream:good", &parsed, configs.clone())],
-                    false,
+                    &sched(false),
                 );
                 assert_same_results(got[0].as_ref().unwrap(), &want_parsed[0]);
             }
@@ -1844,7 +1914,7 @@ mod tests {
         // Pre-built Module items skip ingest entirely and still match
         // the resident run exactly (no print/parse renumbering).
         let m = spin_module("m", 2);
-        let (want, _) = run_fleet_with(&[FleetJob::new("m", &m, configs.clone())], false);
+        let (want, _) = run_fleet_opts(&[FleetJob::new("m", &m, configs.clone())], &sched(false));
         let items = vec![StreamItem::Module {
             name: "m".into(),
             module: m.clone(),
@@ -1898,7 +1968,7 @@ mod tests {
         let (got, stats) = run_fleet_opts(&[FleetJob::new("a", &a, configs.clone())], &opts);
         assert_eq!(stats.failed, 0);
         assert!(got[0].outcome.is_ok());
-        let (want, _) = run_fleet_with(&[FleetJob::new("a", &a, configs)], false);
+        let (want, _) = run_fleet_opts(&[FleetJob::new("a", &a, configs)], &sched(false));
         assert_same_results(&got[0], &want[0]);
     }
 }

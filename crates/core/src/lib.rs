@@ -32,7 +32,7 @@
 //! block-aggregated orderings) exactly once for a whole
 //! variant × target × (seq|par) sweep. Multi-module callers (corpus
 //! sweeps, the `fenceplace` CLI, figure harnesses) should go one level
-//! further and use [`run_fleet`]: it schedules per-(module, function)
+//! further and use [`run_fleet_opts`]: it schedules per-(module, function)
 //! work units from *many* modules onto the persistent pool in single
 //! cross-module passes, with reachability rows interned fleet-wide.
 
@@ -92,8 +92,8 @@ pub use certify::{
     FenceCertificate, GroupCertificate,
 };
 pub use fleet::{
-    run_fleet, run_fleet_opts, run_fleet_streamed, run_fleet_with, FleetJob, FleetOptions,
-    FleetResult, FleetStats, StreamItem, StreamSummary,
+    run_fleet_opts, run_fleet_streamed, FleetJob, FleetOptions, FleetResult, FleetStats,
+    StreamItem, StreamSummary,
 };
 pub use minimize::{FencePoint, TargetModel};
 pub use orderings::{

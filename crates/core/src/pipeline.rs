@@ -24,31 +24,29 @@
 //! orderings borrowing the substrate), computes acquire info once per
 //! *distinct variant*, and only the cheap tail — pruning, fence
 //! minimization, fence insertion, report assembly — runs per config.
-//! The substrates depend only on the IR, so the analysis and the
-//! substrate builds run as **one overlapped pool pass** rather than
-//! back-to-back stages; only the context stage waits on both. Callers sweeping variants and targets (golden tests, figure
-//! binaries) get the whole sweep for roughly the price of one run.
+//! Callers sweeping variants and targets (golden tests, figure binaries)
+//! get the whole sweep for roughly the price of one run.
 //! [`run_pipeline`] is the single-config special case.
 //!
-//! Functions are independent after the module-wide analysis, so the
-//! per-function stages optionally run on the persistent
-//! [`crate::pool::ThreadPool`] ([`PipelineConfig::parallel`]): instances
-//! pull function indices from an atomic counter and results are keyed by
-//! function index, so arrival order cannot affect any output and
-//! parallel runs are bit-identical to sequential ones.
+//! The batch is a fleet of one: it runs through the stage executor in
+//! [`crate::fleet`], without the validation gate or panic isolation.
+//! This module owns the per-unit stage bodies the executor schedules
+//! ([`FuncContext::build`], acquire detection, the per-function tail).
+//! With any config's [`PipelineConfig::parallel`] set, the units run on
+//! the persistent [`crate::pool::ThreadPool`]; results are keyed by unit
+//! index, so parallel runs are bit-identical to sequential ones.
 
 use crate::acquire::{detect_acquires_with, pensieve_all_reads, AcquireInfo, DetectMode};
-use crate::insert::insert_fences;
+use crate::fleet::{run_fleet_opts, FleetJob, FleetOptions};
 use crate::minimize::{count_module_fences, minimize_function, FencePoint, TargetModel};
 use crate::orderings::{FuncOrderings, OrderingSelection, SyncAggregates};
-use crate::pool::ThreadPool;
 use crate::report::{FuncReport, ModuleReport};
 use fence_analysis::alias::AliasOracle;
 use fence_analysis::ModuleAnalysis;
 use fence_ir::cfg::FuncSubstrate;
 use fence_ir::util::BitSet;
 use fence_ir::{FenceKind, FuncId, Module};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Which sync-read set drives pruning.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -137,7 +135,7 @@ pub struct PipelineResult {
 /// `detect_acquires` and across every config of a batch run.
 ///
 /// The CFG substrate ([`FuncSubstrate`]: `Cfg` + `Reachability`) is built
-/// exactly **once** per function per batch — `run_pipeline_batch` owns
+/// exactly **once** per function per batch — the stage executor owns
 /// one per function and every stage downstream (ordering generation,
 /// pruning, fence minimization) borrows it; a counter test below pins
 /// that nothing rebuilds it behind the cache's back.
@@ -223,71 +221,6 @@ impl<'a> FuncContext<'a> {
             ),
             Variant::Manual => unreachable!("Manual has no acquire info"),
         }
-    }
-}
-
-thread_local! {
-    static MODULE_ANALYSIS_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Number of module-wide analysis passes (`ModuleAnalysis::run`) the
-/// pipeline entry points have executed **on this thread** — the
-/// observable that lets tests assert [`run_pipeline_batch`] shares one
-/// analysis across a whole config sweep.
-pub fn module_analysis_runs() -> usize {
-    MODULE_ANALYSIS_RUNS.with(|c| c.get())
-}
-
-/// Runs `f(0..n)` either inline or work-stealing on the persistent pool,
-/// returning results in index order (deterministic regardless of mode).
-/// Shared with the fleet driver, whose `n` spans work units of *many*
-/// modules at once.
-pub(crate) fn map_indexed<T: Send>(
-    n: usize,
-    parallel: bool,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    ThreadPool::global().map_indexed(n, parallel, f)
-}
-
-/// Fault-isolated sibling of [`map_indexed`]: every `f(i)` runs under its
-/// own `catch_unwind` (via [`ThreadPool::run_units`] in parallel mode),
-/// so slot `i` becomes `Err(panic message)` instead of the panic
-/// unwinding through the whole pass. Every unit still executes exactly
-/// once and results stay keyed by index, so sequential and pooled runs
-/// are bit-identical — including *which* units failed.
-pub(crate) fn map_indexed_caught<T: Send>(
-    n: usize,
-    parallel: bool,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<Result<T, String>> {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    if parallel && n > 1 {
-        let collected: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-        let panics = ThreadPool::global().run_units(n, &|i| {
-            let v = f(i);
-            collected.lock().unwrap().push((i, v));
-        });
-        let mut slots: Vec<Option<Result<T, String>>> = (0..n).map(|_| None).collect();
-        for (i, v) in collected.into_inner().unwrap() {
-            slots[i] = Some(Ok(v));
-        }
-        for (i, p) in panics.into_iter().enumerate() {
-            if let Some(msg) = p {
-                slots[i] = Some(Err(msg));
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every unit ran or panicked"))
-            .collect()
-    } else {
-        (0..n)
-            .map(|i| {
-                catch_unwind(AssertUnwindSafe(|| f(i)))
-                    .map_err(|p| crate::pool::panic_message(p.as_ref()))
-            })
-            .collect()
     }
 }
 
@@ -382,96 +315,15 @@ pub(crate) fn manual_result(module: &Module, config: &PipelineConfig) -> Pipelin
 /// }
 /// ```
 pub fn run_pipeline_batch(module: &Module, configs: &[PipelineConfig]) -> Vec<PipelineResult> {
-    if !configs.iter().any(|c| c.variant != Variant::Manual) {
-        // Nothing to place: the modules' explicit fences are the placement.
-        return configs.iter().map(|c| manual_result(module, c)).collect();
-    }
-    let any_parallel = configs.iter().any(|c| c.parallel);
-    MODULE_ANALYSIS_RUNS.with(|c| c.set(c.get() + 1));
-    let n = module.funcs.len();
-
-    // Overlapped build pass: the CFG substrates depend only on the IR,
-    // not on points-to, so the module analysis (unit 0) and the
-    // cache-once substrate builds (units 1..=n, exactly one `Cfg` +
-    // `Reachability` build per function per batch, counter-pinned by a
-    // test below) share one pool pass instead of a strict
-    // analysis-then-cfg barrier. Only the context stage below carries a
-    // true dependency edge on both. The analysis runs sequentially
-    // *inside* its unit (nesting the pool would deadlock); sequentially
-    // the pass degrades to the old analysis-then-substrates order.
-    enum BuildUnit {
-        Analysis(ModuleAnalysis),
-        Substrate(FuncSubstrate),
-    }
-    let mut built = map_indexed(n + 1, any_parallel, |u| {
-        if u == 0 {
-            BuildUnit::Analysis(ModuleAnalysis::run_on(module, false))
-        } else {
-            BuildUnit::Substrate(FuncSubstrate::new(module.func(FuncId::new(u - 1))))
-        }
-    });
-    let substrates: Vec<FuncSubstrate> = built
-        .split_off(1)
-        .into_iter()
-        .map(|u| match u {
-            BuildUnit::Substrate(s) => s,
-            BuildUnit::Analysis(_) => unreachable!("units 1..=n are substrates"),
-        })
-        .collect();
-    let analysis = match built.pop() {
-        Some(BuildUnit::Analysis(a)) => a,
-        _ => unreachable!("unit 0 is the module analysis"),
+    let job = FleetJob::new(module.name.clone(), module, configs);
+    let opts = FleetOptions {
+        parallel: configs.iter().any(|c| c.parallel),
+        isolate: false,
+        validate: false,
+        ..FleetOptions::default()
     };
-
-    // Config-independent per-function contexts, built once, borrowing
-    // the substrates.
-    let contexts: Vec<FuncContext<'_>> = map_indexed(n, any_parallel, |i| {
-        FuncContext::build(module, &analysis, &substrates[i], FuncId::new(i))
-    });
-
-    // Acquire info per *distinct* automatic variant, shared across
-    // targets and parallel modes.
-    let mut acquire_cache: [Option<Vec<AcquireInfo>>; 4] = [None, None, None, None];
-    for config in configs {
-        let slot = config.variant.idx();
-        if config.variant == Variant::Manual || acquire_cache[slot].is_some() {
-            continue;
-        }
-        acquire_cache[slot] = Some(map_indexed(n, any_parallel, |i| {
-            contexts[i].acquire_info(module, &analysis, config.variant)
-        }));
-    }
-
-    configs
-        .iter()
-        .map(|config| {
-            if config.variant == Variant::Manual {
-                return manual_result(module, config);
-            }
-            let infos = acquire_cache[config.variant.idx()]
-                .as_ref()
-                .expect("acquire info cached for every automatic variant");
-            let per_func = map_indexed(n, config.parallel, |i| {
-                finish_function(module, &analysis, &contexts[i], &infos[i], config)
-            });
-            let mut funcs = Vec::with_capacity(n);
-            let mut points = Vec::new();
-            for (report, pts) in per_func {
-                funcs.push(report);
-                points.extend(pts);
-            }
-            let instrumented = insert_fences(module, &points);
-            PipelineResult {
-                module: instrumented,
-                points,
-                report: ModuleReport {
-                    module_name: module.name.clone(),
-                    variant: config.variant.name().to_string(),
-                    funcs,
-                },
-            }
-        })
-        .collect()
+    let (mut fleet, _) = run_fleet_opts(std::slice::from_ref(&job), &opts);
+    fleet.pop().expect("one result per job").results
 }
 
 /// Runs the pipeline on a module for one config (the batch of one).
@@ -669,28 +521,31 @@ mod tests {
             }
         }
 
-        let runs_before = module_analysis_runs();
-        let batch = run_pipeline_batch(&m, &configs);
-        let batch_runs = module_analysis_runs() - runs_before;
+        // The analysis counter is thread-local, so it is pinned on the
+        // sequential configs, whose units all run on this thread.
+        let seq: Vec<PipelineConfig> = configs.iter().copied().filter(|c| !c.parallel).collect();
+        let runs_before = fence_analysis::analysis_runs();
+        let _ = run_pipeline_batch(&m, &seq);
+        let batch_runs = fence_analysis::analysis_runs() - runs_before;
         assert_eq!(
             batch_runs,
             1,
             "batch of {} configs re-ran the module analysis {batch_runs} times",
-            configs.len()
+            seq.len()
         );
-
         // Individual runs: one analysis per call.
-        let individual: Vec<PipelineResult> = configs.iter().map(|c| run_pipeline(&m, c)).collect();
-        let individual_runs = module_analysis_runs() - runs_before - batch_runs;
+        for c in &seq {
+            let _ = run_pipeline(&m, c);
+        }
+        let individual_runs = fence_analysis::analysis_runs() - runs_before - batch_runs;
         assert_eq!(
             individual_runs,
-            configs
-                .iter()
-                .filter(|c| c.variant != Variant::Manual)
-                .count(),
+            seq.iter().filter(|c| c.variant != Variant::Manual).count(),
             "each non-Manual run_pipeline call runs one analysis"
         );
 
+        let batch = run_pipeline_batch(&m, &configs);
+        let individual: Vec<PipelineResult> = configs.iter().map(|c| run_pipeline(&m, c)).collect();
         assert_eq!(batch.len(), individual.len());
         for ((b, i), config) in batch.iter().zip(&individual).zip(&configs) {
             assert_eq!(b.points, i.points, "points diverge under {config:?}");
@@ -751,7 +606,7 @@ mod tests {
     #[test]
     fn manual_only_batch_skips_analysis() {
         let m = figure2_module();
-        let before = module_analysis_runs();
+        let before = fence_analysis::analysis_runs();
         let r = run_pipeline_batch(
             &m,
             &[
@@ -759,11 +614,11 @@ mod tests {
                 PipelineConfig {
                     variant: Variant::Manual,
                     target: TargetModel::Weak,
-                    parallel: true,
+                    parallel: false,
                 },
             ],
         );
-        assert_eq!(module_analysis_runs(), before);
+        assert_eq!(fence_analysis::analysis_runs(), before);
         assert_eq!(r.len(), 2);
         assert!(r.iter().all(|x| x.points.is_empty()));
     }

@@ -20,19 +20,20 @@
 //!    the previous version's per-function hashes
 //!    ([`corpus::hash::func_hashes`]) say exactly which functions
 //!    changed, and only those rebuild their interned
-//!    [`FuncSubstrate`]s — the same per-(module, function) work units
-//!    the fleet schedules, just filtered to the dirty set. The
-//!    module-wide [`ModuleAnalysis`] (points-to + escape) re-runs on any
-//!    change — it is a whole-module fixpoint and caching it per function
-//!    would be unsound.
-//! 3. **Fleet semantics.** Requests run with the fleet's quarantine and
-//!    budget rules: the IR validation gate, per-unit `catch_unwind`
-//!    isolation with stage attribution, and the deterministic
-//!    instruction-count budget charged at the same stage boundaries with
-//!    the same costs ([`crate::fleet`]). Budgets are simulated from
-//!    static costs even on warm hits, so a budgeted request gets the
-//!    same `deadline_exceeded` outcome whether or not the cache could
-//!    have served it.
+//!    [`FuncSubstrate`]s. The module-wide [`ModuleAnalysis`] (points-to
+//!    and escape) re-runs on any change — it is a whole-module fixpoint
+//!    and caching it per function would be unsound.
+//! 3. **One executor.** The service owns only the cache: content-hash
+//!    lookup, name aliases, dirty-set donation, LRU and rendered report
+//!    lines. Everything that runs a stage — ingest, the IR validation
+//!    gate, analysis, substrates, contexts, acquires, tails — runs in the
+//!    fleet executor ([`crate::fleet`]), seeded with the cached analysis
+//!    and substrates, so a request is quarantined and budgeted exactly as
+//!    the CLI would quarantine and budget it. Seeded units are skipped
+//!    but charged: the executor charges the whole request's charge plan,
+//!    and a warm hit replays that same plan without running anything, so
+//!    a budgeted request gets the same `deadline_exceeded` outcome
+//!    whether or not the cache could have served it.
 //!
 //! Eviction is LRU over whole entries, opt-in via
 //! [`ServiceOptions::capacity`]: when the entry count exceeds the
@@ -45,17 +46,15 @@
 
 pub mod wire;
 
-use crate::fleet::{func_step_cost, module_step_cost, stage_map, MAX_IR_DIAGNOSTICS};
+use crate::fleet::{self, ChargePlan, FleetJob, FleetOptions, Seed};
 use crate::json;
 use crate::minimize::TargetModel;
-use crate::pipeline::{finish_function, manual_result, FuncContext, PipelineConfig, Variant};
+use crate::pipeline::PipelineConfig;
 use crate::report::{FleetStage, ModuleOutcome};
-use crate::report::{FuncReport, ModuleReport};
-use crate::AcquireInfo;
 use corpus::hash::{content_hash, func_hashes, ContentHash};
 use fence_analysis::ModuleAnalysis;
 use fence_ir::cfg::{FuncSubstrate, RowInterner};
-use fence_ir::{FuncId, Module};
+use fence_ir::Module;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -210,67 +209,6 @@ fn config_key(c: &PipelineConfig) -> (usize, usize) {
     (c.variant.idx(), target_idx(c.target))
 }
 
-/// Replays the fleet's stage-boundary charge sequence from static costs
-/// and returns the deadline outcome a cold `run_fleet_opts` run of
-/// `configs` over `module` would produce, if any. Charges mirror
-/// `crate::fleet` exactly: `module_step_cost` at the Validate, Analysis,
-/// Substrates and Contexts boundaries, then the summed per-function
-/// costs once per distinct automatic variant (Acquires) and once per
-/// non-`Manual` config (Tails).
-fn deadline_outcome(
-    module: &Module,
-    configs: &[PipelineConfig],
-    validate: bool,
-    budget: Option<u64>,
-) -> Option<ModuleOutcome> {
-    let budget = budget?;
-    let module_cost = module_step_cost(module);
-    let func_sum: u64 = module.funcs.iter().map(func_step_cost).sum();
-    let needs = configs.iter().any(|c| c.variant != Variant::Manual);
-
-    let mut charges: Vec<(FleetStage, u64)> = Vec::new();
-    if validate && !configs.is_empty() {
-        charges.push((FleetStage::Validate, module_cost));
-    }
-    if needs {
-        charges.push((FleetStage::Analysis, module_cost));
-        charges.push((FleetStage::Substrates, module_cost));
-        charges.push((FleetStage::Contexts, module_cost));
-        let mut distinct = [false; 4];
-        let mut variants = 0u64;
-        let mut tails = 0u64;
-        for c in configs {
-            if c.variant == Variant::Manual {
-                continue;
-            }
-            tails += 1;
-            if !distinct[c.variant.idx()] {
-                distinct[c.variant.idx()] = true;
-                variants += 1;
-            }
-        }
-        if variants * func_sum > 0 {
-            charges.push((FleetStage::Acquires, variants * func_sum));
-        }
-        if tails * func_sum > 0 {
-            charges.push((FleetStage::Tails, tails * func_sum));
-        }
-    }
-
-    let mut spent = 0u64;
-    for (stage, cost) in charges {
-        spent = spent.saturating_add(cost);
-        if spent > budget {
-            return Some(ModuleOutcome::DeadlineExceeded {
-                stage,
-                spent,
-                budget,
-            });
-        }
-    }
-    None
-}
-
 impl Service {
     /// Creates an empty service with the given options.
     pub fn new(opts: ServiceOptions) -> Self {
@@ -370,239 +308,120 @@ impl Service {
             let entry = self.entries.get_mut(&hash).expect("cached entry");
             entry.last_used = tick;
             let (outcome, lines): (ModuleOutcome, Vec<String>) = if entry.outcome.is_ok() {
-                // Budgets are simulated even warm, so the outcome matches
-                // a cold CLI run of the same request exactly.
+                // Budgets are charged even warm, from the plan a cold run
+                // charges, so the outcome matches a cold CLI run exactly.
                 let module = entry.module.as_ref().expect("ok entries hold their module");
-                match deadline_outcome(module, configs, self.opts.validate, budget) {
+                match ChargePlan::new(module, configs, self.opts.validate, false)
+                    .replay(name, budget)
+                {
                     Some(dl) => (dl, Vec::new()),
-                    None => (
-                        ModuleOutcome::Ok,
-                        configs
-                            .iter()
-                            .map(|c| entry.reports[&config_key(c)].clone())
-                            .collect(),
-                    ),
+                    None => (ModuleOutcome::Ok, entry.lines(configs)),
                 }
             } else {
                 // InvalidIr wins over any deadline: the fleet absorbs the
                 // validation verdict before the Validate-stage charge.
                 (entry.outcome.clone(), Vec::new())
             };
-            let report = json::module_json_parts(name, &outcome, &lines, &[]);
-            return AnalyzeOutcome {
-                cache: CacheDisposition::Hit,
-                outcome,
-                hash,
-                report,
-            };
+            return answer(name, hash, CacheDisposition::Hit, outcome, &lines);
         }
 
-        // ---- grow path: same content resident, some configs missing ----
-        if let Some(mut entry) = self.entries.remove(&hash) {
-            self.stats.incremental += 1;
-            entry.last_used = tick;
-            let result = self.compute_lines(&mut entry, configs, budget);
-            let (outcome, lines) = match result {
-                Ok(lines) => (ModuleOutcome::Ok, lines),
-                Err(outcome) => (outcome, Vec::new()),
-            };
-            self.entries.insert(hash, entry);
-            self.names.insert(name.to_string(), hash);
-            let report = json::module_json_parts(name, &outcome, &lines, &[]);
-            return AnalyzeOutcome {
-                cache: CacheDisposition::Incremental,
-                outcome,
-                hash,
-                report,
-            };
-        }
-
-        // ---- cold path: parse, validate, dirty-diff, compute ----
-        let parsed = if self.opts.isolate {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                fence_ir::parser::parse_module(text)
-            }))
-            .map_err(|p| ModuleOutcome::Panicked {
-                stage: FleetStage::Ingest,
-                message: crate::pool::panic_message(p.as_ref()),
-            })
-        } else {
-            Ok(fence_ir::parser::parse_module(text))
-        };
-        let module = match parsed {
-            Err(outcome) => {
-                self.stats.misses += 1;
-                return self.transient_failure(name, hash, outcome);
-            }
-            Ok(Err(e)) => {
-                // Parity with streamed ingestion: an unparsable text is
-                // quarantined as InvalidIr, and the verdict is cacheable
-                // (content-keyed, so the same bytes fail the same way).
-                self.stats.misses += 1;
-                let outcome = ModuleOutcome::InvalidIr {
-                    errors: vec![format!("parse error: {e}")],
-                };
-                return self.cache_quarantined(name, hash, tick, None, Vec::new(), outcome);
-            }
-            Ok(Ok(module)) => module,
-        };
-        let fhashes = func_hashes(&module);
-
-        // Validation gate, exactly like the fleet (diagnostics capped).
-        if self.opts.validate && !configs.is_empty() {
-            let verified = if self.opts.isolate {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    fence_ir::verify_module_checked(&module)
-                }))
-                .map_err(|p| ModuleOutcome::Panicked {
-                    stage: FleetStage::Validate,
-                    message: crate::pool::panic_message(p.as_ref()),
-                })
-            } else {
-                Ok(fence_ir::verify_module_checked(&module))
-            };
-            match verified {
+        // ---- same content resident with configs missing, or new content ----
+        let (mut entry, donated) = match self.entries.remove(&hash) {
+            Some(entry) => (entry, None),
+            None => match fleet::ingest(name, text, self.opts.isolate, budget) {
+                Ok(module) => {
+                    let funcs = func_hashes(&module);
+                    let donated = self.donations(name, &funcs);
+                    (
+                        Entry::new(Some(module), funcs, ModuleOutcome::Ok),
+                        Some(donated),
+                    )
+                }
                 Err(outcome) => {
+                    // An unparsable text is a content-keyed verdict (the
+                    // same bytes fail the same way); panics and deadlines
+                    // depend on the request and are never cached.
                     self.stats.misses += 1;
-                    return self.transient_failure(name, hash, outcome);
-                }
-                Ok(Err(errs)) => {
-                    let total = errs.len();
-                    let mut errors: Vec<String> = errs
-                        .into_iter()
-                        .take(MAX_IR_DIAGNOSTICS)
-                        .map(|e| e.to_string())
-                        .collect();
-                    if total > MAX_IR_DIAGNOSTICS {
-                        errors.push(format!(
-                            "... and {} more diagnostics",
-                            total - MAX_IR_DIAGNOSTICS
-                        ));
+                    if matches!(outcome, ModuleOutcome::InvalidIr { .. }) {
+                        self.keep(
+                            name,
+                            hash,
+                            Entry::new(None, Vec::new(), outcome.clone()),
+                            tick,
+                        );
                     }
-                    self.stats.misses += 1;
-                    let outcome = ModuleOutcome::InvalidIr { errors };
-                    return self.cache_quarantined(
-                        name,
-                        hash,
-                        tick,
-                        Some(module),
-                        fhashes,
-                        outcome,
-                    );
+                    return answer(name, hash, CacheDisposition::Miss, outcome, &[]);
                 }
-                Ok(Ok(())) => {}
-            }
-        }
-
-        // Dirty-set seeding: unchanged functions of the previous version
-        // under this name donate their interned substrates.
-        let mut substrates: Vec<Option<Arc<FuncSubstrate>>> = vec![None; module.funcs.len()];
-        let mut reused = 0usize;
-        if let Some(prev) = self.names.get(name).and_then(|h| self.entries.get(h)) {
-            if prev.outcome.is_ok() && prev.substrates.len() == prev.funcs.len() {
-                for (i, (fname, fh)) in fhashes.iter().enumerate() {
-                    if let Some(j) = prev.funcs.iter().position(|(n, _)| n == fname) {
-                        if prev.funcs[j].1 == *fh {
-                            substrates[i] = Some(prev.substrates[j].clone());
-                            reused += 1;
-                        }
-                    }
+            },
+        };
+        let resident = donated.is_none();
+        let reused = donated.iter().flatten().flatten().count();
+        let outcome = self.run(name, &mut entry, donated, configs, budget);
+        // A module the gate rejects reused nothing.
+        let rejected = matches!(
+            outcome,
+            ModuleOutcome::InvalidIr { .. }
+                | ModuleOutcome::Panicked {
+                    stage: FleetStage::Validate,
+                    ..
                 }
-            }
-        }
-        self.stats.substrates_reused += reused as u64;
-        let cache = if reused > 0 {
+        );
+        let cache = if resident || (reused > 0 && !rejected) {
             self.stats.incremental += 1;
+            self.stats.substrates_reused += reused as u64;
             CacheDisposition::Incremental
         } else {
             self.stats.misses += 1;
             CacheDisposition::Miss
         };
-
-        let mut entry = Entry {
-            module: Some(module),
-            outcome: ModuleOutcome::Ok,
-            funcs: fhashes,
-            analysis: None,
-            substrates: Vec::new(),
-            reports: HashMap::new(),
-            last_used: tick,
+        let lines = if outcome.is_ok() {
+            entry.lines(configs)
+        } else {
+            Vec::new()
         };
-        match self.compute_lines_seeded(&mut entry, Some(substrates), configs, budget) {
-            Ok(lines) => {
-                self.entries.insert(hash, entry);
-                self.names.insert(name.to_string(), hash);
-                self.evict();
-                let report = json::module_json_parts(name, &ModuleOutcome::Ok, &lines, &[]);
-                AnalyzeOutcome {
-                    cache,
-                    outcome: ModuleOutcome::Ok,
-                    hash,
-                    report,
-                }
-            }
-            Err(outcome) => {
-                // Transient outcomes are never cached: a panic or
-                // deadline depends on this request's configs/budget, and
-                // the next request may legitimately succeed.
-                let report = json::module_json_parts(name, &outcome, &[], &[]);
-                AnalyzeOutcome {
-                    cache,
-                    outcome,
-                    hash,
-                    report,
-                }
-            }
+        if let ModuleOutcome::InvalidIr { .. } = outcome {
+            entry.outcome = outcome.clone();
         }
+        // Transient outcomes (panic, deadline) of new content are never
+        // cached: they depend on this request's configs and budget, and
+        // the next request may legitimately succeed. A resident entry
+        // keeps what the run built for it.
+        if resident || outcome.is_ok() || entry.outcome != ModuleOutcome::Ok {
+            self.keep(name, hash, entry, tick);
+        }
+        answer(name, hash, cache, outcome, &lines)
     }
 
-    /// Renders (without caching) a transient failure: panic or deadline.
-    fn transient_failure(
-        &mut self,
+    /// Dirty-set seeding: unchanged functions of the previous version
+    /// under `name` donate their interned substrates; `None` marks a
+    /// function whose substrate must be rebuilt.
+    fn donations(
+        &self,
         name: &str,
-        hash: ContentHash,
-        outcome: ModuleOutcome,
-    ) -> AnalyzeOutcome {
-        let report = json::module_json_parts(name, &outcome, &[], &[]);
-        AnalyzeOutcome {
-            cache: CacheDisposition::Miss,
-            outcome,
-            hash,
-            report,
-        }
+        funcs: &[(String, ContentHash)],
+    ) -> Vec<Option<Arc<FuncSubstrate>>> {
+        let prev = self
+            .names
+            .get(name)
+            .and_then(|h| self.entries.get(h))
+            .filter(|p| p.outcome.is_ok() && p.substrates.len() == p.funcs.len());
+        funcs
+            .iter()
+            .map(|(fname, fh)| {
+                let prev = prev?;
+                let j = prev.funcs.iter().position(|(n, _)| n == fname)?;
+                (prev.funcs[j].1 == *fh).then(|| prev.substrates[j].clone())
+            })
+            .collect()
     }
 
-    /// Caches a quarantined (InvalidIr) verdict and renders its report.
-    fn cache_quarantined(
-        &mut self,
-        name: &str,
-        hash: ContentHash,
-        tick: u64,
-        module: Option<Module>,
-        funcs: Vec<(String, ContentHash)>,
-        outcome: ModuleOutcome,
-    ) -> AnalyzeOutcome {
-        let report = json::module_json_parts(name, &outcome, &[], &[]);
-        self.entries.insert(
-            hash,
-            Entry {
-                module,
-                outcome: outcome.clone(),
-                funcs,
-                analysis: None,
-                substrates: Vec::new(),
-                reports: HashMap::new(),
-                last_used: tick,
-            },
-        );
+    /// Caches `entry` under `hash`, binds `name` to it, and evicts down
+    /// to capacity.
+    fn keep(&mut self, name: &str, hash: ContentHash, mut entry: Entry, tick: u64) {
+        entry.last_used = tick;
+        self.entries.insert(hash, entry);
         self.names.insert(name.to_string(), hash);
         self.evict();
-        AnalyzeOutcome {
-            cache: CacheDisposition::Miss,
-            outcome,
-            hash,
-            report,
-        }
     }
 
     /// LRU eviction down to the configured capacity.
@@ -623,240 +442,115 @@ impl Service {
         }
     }
 
-    /// Runs the fleet's stage sequence over `entry`'s module, computing
-    /// the report lines of every config not yet cached, with the exact
-    /// charge boundaries and panic attribution of `run_fleet_opts`. On
-    /// success the fresh lines are merged into `entry.reports` and the
-    /// full request's lines are returned in request order; on failure
-    /// (`Panicked` / `DeadlineExceeded`) the entry is left exactly as it
-    /// was — partial results of a quarantined request must not leak into
-    /// the cache, or a retry would diverge from a cold CLI run.
-    fn compute_lines(
+    /// Renders every config of `configs` that `entry` has no report line
+    /// for, by running those configs through the fleet executor seeded
+    /// with the entry's analysis and substrates (`donated` replaces the
+    /// substrates of a new entry). The executor charges the plan of the
+    /// whole request, so budgets trip exactly where a cold run trips
+    /// them. The analysis and substrates it builds are kept whatever the
+    /// outcome — they depend on the module alone — but report lines of a
+    /// quarantined request never reach the cache.
+    fn run(
         &mut self,
+        name: &str,
         entry: &mut Entry,
+        donated: Option<Vec<Option<Arc<FuncSubstrate>>>>,
         configs: &[PipelineConfig],
         budget: Option<u64>,
-    ) -> Result<Vec<String>, ModuleOutcome> {
-        self.compute_lines_seeded(entry, None, configs, budget)
-    }
-
-    /// [`Service::compute_lines`] with an explicit substrate seed: the
-    /// cold path passes the dirty-diff result (donated substrates for
-    /// unchanged functions, `None` holes for dirty ones); the grow path
-    /// passes `None` and reuses the entry's own complete set.
-    fn compute_lines_seeded(
-        &mut self,
-        entry: &mut Entry,
-        seed: Option<Vec<Option<Arc<FuncSubstrate>>>>,
-        configs: &[PipelineConfig],
-        budget: Option<u64>,
-    ) -> Result<Vec<String>, ModuleOutcome> {
+    ) -> ModuleOutcome {
         let module = entry.module.as_ref().expect("computable entries hold IR");
-        let (parallel, isolate) = (self.opts.parallel, self.opts.isolate);
-        let n = module.funcs.len();
-        let dl = deadline_outcome(module, configs, self.opts.validate, budget);
-        let dl_stage = dl.as_ref().and_then(|o| o.stage());
-        // Trips the deadline at a stage boundary, mirroring the fleet's
-        // `charge` calls: work *at* the tripping stage has already run
-        // (and its panics won), work after it never starts.
-        let boundary = |stage: FleetStage| -> Result<(), ModuleOutcome> {
-            if dl_stage == Some(stage) {
-                Err(dl.clone().expect("stage implies deadline"))
-            } else {
-                Ok(())
-            }
+        let substrates = donated.unwrap_or_else(|| {
+            let mut own: Vec<_> = entry.substrates.iter().cloned().map(Some).collect();
+            own.resize(module.funcs.len(), None);
+            own
+        });
+        let dirty = substrates.iter().filter(|s| s.is_none()).count();
+        let seed = Seed {
+            plan: ChargePlan::new(module, configs, self.opts.validate, false),
+            analysis: entry.analysis.as_ref(),
+            substrates,
         };
-
-        boundary(FleetStage::Validate)?;
-
-        let needs = configs.iter().any(|c| c.variant != Variant::Manual);
-        let missing: Vec<&PipelineConfig> = configs
+        let missing: Vec<PipelineConfig> = configs
             .iter()
             .filter(|c| !entry.reports.contains_key(&config_key(c)))
+            .copied()
             .collect();
-        let mut fresh: HashMap<(usize, usize), String> = HashMap::new();
-
-        if needs {
-            // ---- overlapped pass: module analysis + dirty substrates ----
-            let mut subs: Vec<Option<Arc<FuncSubstrate>>> = match seed {
-                Some(seed) => seed,
-                None if entry.substrates.len() == n => {
-                    entry.substrates.iter().cloned().map(Some).collect()
-                }
-                None => vec![None; n],
-            };
-            let dirty: Vec<usize> = (0..n).filter(|&i| subs[i].is_none()).collect();
-            let need_analysis = entry.analysis.is_none();
-            let na = need_analysis as usize;
-            enum BuildUnit {
-                Analysis(ModuleAnalysis),
-                Substrate(FuncSubstrate),
-            }
-            let built = stage_map(na + dirty.len(), parallel, isolate, |u| {
-                if need_analysis && u == 0 {
-                    BuildUnit::Analysis(ModuleAnalysis::run_on(module, false))
-                } else {
-                    let f = dirty[u - na];
-                    BuildUnit::Substrate(FuncSubstrate::new_interned(
-                        module.func(FuncId::new(f)),
-                        &self.interner,
-                    ))
-                }
-            });
-            let mut built = built.into_iter();
-            // Analysis results absorb first (attribution parity with the
-            // fleet's combined pass), then the Analysis boundary, then
-            // the substrates — so a deadline at Analysis beats a
-            // substrate panic, and never the other way around.
-            let mut analysis_result: Option<ModuleAnalysis> = None;
-            for r in built.by_ref().take(na) {
-                match r {
-                    Ok(BuildUnit::Analysis(a)) => analysis_result = Some(a),
-                    Ok(BuildUnit::Substrate(_)) => unreachable!("unit 0 is the analysis"),
-                    Err(message) => {
-                        return Err(ModuleOutcome::Panicked {
-                            stage: FleetStage::Analysis,
-                            message,
-                        })
-                    }
-                }
-            }
-            if need_analysis {
-                self.stats.analyses += 1;
-            }
-            boundary(FleetStage::Analysis)?;
-            let mut built_subs: Vec<(usize, Arc<FuncSubstrate>)> = Vec::new();
-            for (k, r) in built.enumerate() {
-                match r {
-                    Ok(BuildUnit::Substrate(s)) => built_subs.push((dirty[k], Arc::new(s))),
-                    Ok(BuildUnit::Analysis(_)) => unreachable!("units na.. are substrates"),
-                    Err(message) => {
-                        return Err(ModuleOutcome::Panicked {
-                            stage: FleetStage::Substrates,
-                            message,
-                        })
-                    }
-                }
-            }
-            self.stats.substrates_built += built_subs.len() as u64;
-            for (f, s) in built_subs {
-                subs[f] = Some(s);
-            }
-            boundary(FleetStage::Substrates)?;
-
-            // Commit the built state now: it is valid regardless of how
-            // the per-config tail goes (a later deadline or tail panic
-            // quarantines the *request*, not the module's analysis).
-            if let Some(a) = analysis_result {
-                entry.analysis = Some(a);
-            }
-            entry.substrates = subs
-                .into_iter()
-                .map(|s| s.expect("every function has a substrate"))
-                .collect();
-            let analysis = entry.analysis.as_ref().expect("analysis just ensured");
-            let substrates = &entry.substrates;
-
-            // ---- per-function contexts ----
-            let cres = stage_map(n, parallel, isolate, |i| {
-                FuncContext::build(module, analysis, &substrates[i], FuncId::new(i))
-            });
-            let mut contexts: Vec<FuncContext<'_>> = Vec::with_capacity(n);
-            for r in cres {
-                match r {
-                    Ok(c) => contexts.push(c),
-                    Err(message) => {
-                        return Err(ModuleOutcome::Panicked {
-                            stage: FleetStage::Contexts,
-                            message,
-                        })
-                    }
-                }
-            }
-            boundary(FleetStage::Contexts)?;
-
-            // ---- acquire info per distinct automatic variant needed ----
-            let mut infos: [Option<Vec<AcquireInfo>>; 4] = [None, None, None, None];
-            for config in &missing {
-                let slot = config.variant.idx();
-                if config.variant == Variant::Manual || infos[slot].is_some() {
-                    continue;
-                }
-                let ares = stage_map(n, parallel, isolate, |i| {
-                    contexts[i].acquire_info(module, analysis, config.variant)
-                });
-                let mut per_func = Vec::with_capacity(n);
-                for r in ares {
-                    match r {
-                        Ok(info) => per_func.push(info),
-                        Err(message) => {
-                            return Err(ModuleOutcome::Panicked {
-                                stage: FleetStage::Acquires,
-                                message,
-                            })
-                        }
-                    }
-                }
-                infos[slot] = Some(per_func);
-            }
-            boundary(FleetStage::Acquires)?;
-
-            // ---- per-(config, function) tails ----
-            for config in &missing {
-                if config.variant == Variant::Manual {
-                    continue;
-                }
-                let per_variant = infos[config.variant.idx()]
-                    .as_ref()
-                    .expect("acquire info computed for every missing automatic variant");
-                let tres = stage_map(n, parallel, isolate, |i| {
-                    finish_function(module, analysis, &contexts[i], &per_variant[i], config)
-                });
-                let mut funcs: Vec<FuncReport> = Vec::with_capacity(n);
-                let mut points = 0usize;
-                for r in tres {
-                    match r {
-                        Ok((report, pts)) => {
-                            funcs.push(report);
-                            points += pts.len();
-                        }
-                        Err(message) => {
-                            return Err(ModuleOutcome::Panicked {
-                                stage: FleetStage::Tails,
-                                message,
-                            })
-                        }
-                    }
-                }
-                let report = ModuleReport {
-                    module_name: module.name.clone(),
-                    variant: config.variant.name().to_string(),
-                    funcs,
-                };
-                fresh.insert(
-                    config_key(config),
-                    json::config_json(config, &report, points),
-                );
-            }
-            boundary(FleetStage::Tails)?;
+        let job = FleetJob::new(name, module, missing);
+        // A rendered line means the module already passed the gate; an
+        // entry whose requests all carried empty config lists has not
+        // been validated yet.
+        let opts = FleetOptions {
+            parallel: self.opts.parallel,
+            isolate: self.opts.isolate,
+            validate: self.opts.validate && entry.reports.is_empty(),
+            budget,
+            certify: None,
+            window: None,
+        };
+        // Only report lines are rendered: no instrumented module clones.
+        let (mut results, _, mut built) = fleet::execute(
+            std::slice::from_ref(&job),
+            vec![Some(seed)],
+            &self.interner,
+            &opts,
+            false,
+        );
+        let (result, built) = (results.remove(0), built.remove(0));
+        if let Some(analysis) = built.analysis {
+            self.stats.analyses += 1;
+            entry.analysis = Some(analysis);
         }
-
-        // Manual configs: assembled like the fleet does, after the tail
-        // barrier, uninsulated (counting explicit fences cannot panic).
-        for config in &missing {
-            if config.variant == Variant::Manual && !fresh.contains_key(&config_key(config)) {
-                let r = manual_result(module, config);
-                fresh.insert(
-                    config_key(config),
-                    json::config_json(config, &r.report, r.points.len()),
-                );
-            }
+        if let Some(substrates) = built.substrates {
+            self.stats.substrates_built += dirty as u64;
+            entry.substrates = substrates;
         }
+        for (config, r) in job.configs.iter().zip(result.results) {
+            let line = json::config_json(config, &r.report, r.points.len());
+            entry.reports.insert(config_key(config), line);
+        }
+        result.outcome
+    }
+}
 
-        entry.reports.extend(fresh);
-        Ok(configs
+impl Entry {
+    fn new(
+        module: Option<Module>,
+        funcs: Vec<(String, ContentHash)>,
+        outcome: ModuleOutcome,
+    ) -> Self {
+        Entry {
+            module,
+            outcome,
+            funcs,
+            analysis: None,
+            substrates: Vec::new(),
+            reports: HashMap::new(),
+            last_used: 0,
+        }
+    }
+
+    /// The cached report lines of `configs`, in request order.
+    fn lines(&self, configs: &[PipelineConfig]) -> Vec<String> {
+        configs
             .iter()
-            .map(|c| entry.reports[&config_key(c)].clone())
-            .collect())
+            .map(|c| self.reports[&config_key(c)].clone())
+            .collect()
+    }
+}
+
+/// Renders one analyze answer.
+fn answer(
+    name: &str,
+    hash: ContentHash,
+    cache: CacheDisposition,
+    outcome: ModuleOutcome,
+    lines: &[String],
+) -> AnalyzeOutcome {
+    let report = json::module_json_parts(name, &outcome, lines, &[]);
+    AnalyzeOutcome {
+        cache,
+        outcome,
+        hash,
+        report,
     }
 }

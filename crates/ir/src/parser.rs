@@ -447,6 +447,13 @@ fn parse_function_body(
         func.blocks[cur.index()].insts.push(id);
     }
 
+    // Drop the growth slack: a parsed module can stay resident for long
+    // (the analysis service caches it).
+    func.insts.shrink_to_fit();
+    func.blocks.shrink_to_fit();
+    for block in &mut func.blocks {
+        block.insts.shrink_to_fit();
+    }
     Ok(func)
 }
 

@@ -11,6 +11,7 @@
 #   lint     clippy + fmt
 #   docs     cargo doc --no-deps (RUSTDOCFLAGS=-D warnings) + cargo test --doc
 #   bench    cargo bench --no-run (compile smoke for every bench harness)
+#            + release build of the perfbench harness (BENCHMARK.json)
 #   faults   cargo test --features faultinject (fault-injection matrix)
 #   certify  litmus regressions + differential certify fuzz + CLI smoke
 #   stream   streamed-vs-resident differential + CLI --stream smoke
@@ -50,6 +51,9 @@ stage_docs() {
 stage_bench() {
   echo "== cargo bench --no-run =="
   cargo bench --no-run
+
+  echo "== perfbench harness build (public API it compiles against) =="
+  cargo build --release --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 }
 
 stage_faults() {

@@ -23,13 +23,20 @@
 //! its injections run through `run_fleet_streamed` (windowed admission
 //! over the fleet's printed texts) in a second matrix within the same
 //! test.
+//!
+//! A third matrix pins the analysis service to the fleet: under every
+//! injection point the service can reach, a cold `Service::analyze`
+//! returns the outcome and report bytes of a streamed fleet run.
 
 use corpus::{manifest, Params};
 use fenceplace::faultinject::{self, Fault};
+use fenceplace::json::module_json;
 use fenceplace::{
     run_fleet_opts, run_fleet_streamed, CertifyOptions, FleetJob, FleetOptions, FleetResult,
-    FleetStage, FleetStats, ModuleOutcome, PipelineConfig, StreamItem, StreamSummary, Variant,
+    FleetStage, FleetStats, ModuleOutcome, PipelineConfig, Service, ServiceOptions, StreamItem,
+    StreamSummary, Variant,
 };
+use std::sync::{Mutex, MutexGuard};
 
 /// Big enough that no tiny-params corpus module ever trips it on its
 /// own; far smaller than [`faultinject::BLOWUP_COST`].
@@ -96,6 +103,13 @@ fn assert_outcome_matches(name: &str, stage: FleetStage, fault: Fault, outcome: 
     }
 }
 
+/// The injection registry is process-global: the tests of this binary
+/// take turns.
+fn registry_lock() -> MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// Silences the default panic hook for the injected panics (hundreds of
 /// them across the matrix) while keeping real assertion failures loud.
 fn quiet_injected_panics() {
@@ -107,7 +121,7 @@ fn quiet_injected_panics() {
             .map(String::as_str)
             .or_else(|| info.payload().downcast_ref::<&str>().copied())
             .unwrap_or("");
-        if !msg.contains("faultinject: injected panic") {
+        if !msg.starts_with("faultinject: injected panic") {
             prev(info);
         }
     }));
@@ -117,6 +131,7 @@ fn quiet_injected_panics() {
 /// process-global, so concurrent tests would race on it.
 #[test]
 fn fault_matrix_quarantines_exactly_the_injected_modules() {
+    let _gate = registry_lock();
     quiet_injected_panics();
     let params = Params::tiny();
     let entries = manifest::full_fleet(&params);
@@ -294,4 +309,58 @@ fn streamed_ingest_matrix() {
         mode_outcomes[0], mode_outcomes[1],
         "streamed sequential and pooled runs must agree on every ingest outcome"
     );
+}
+
+/// The service runs every stage through the fleet executor, so for each
+/// injection point it can reach — every `(stage, fault)` of
+/// [`injection_points`] except Certify (the service does not certify),
+/// plus every Ingest fault — a cold `Service::analyze` of one module's
+/// printed text returns the same [`ModuleOutcome`] and report bytes as
+/// `run_fleet_streamed` over the same text, sequential and pooled.
+#[test]
+fn service_matches_fleet_under_fault_matrix() {
+    let _gate = registry_lock();
+    quiet_injected_panics();
+    let entries = manifest::full_fleet(&Params::tiny());
+    let entry = &entries[0];
+    let texts = [(
+        entry.name.clone(),
+        fence_ir::printer::print_module(&entry.module),
+    )];
+    let configs = vec![PipelineConfig::for_variant(Variant::Control)];
+    let mut points: Vec<(FleetStage, Fault)> = injection_points()
+        .into_iter()
+        .filter(|&(stage, _)| stage != FleetStage::Certify)
+        .collect();
+    points.extend(
+        [Fault::Panic, Fault::TruncateIr, Fault::BudgetBlowup].map(|f| (FleetStage::Ingest, f)),
+    );
+
+    for parallel in [false, true] {
+        for &(stage, fault) in &points {
+            let tag = format!("{} at {stage}/{fault:?} (par={parallel})", entry.name);
+            faultinject::clear();
+            faultinject::arm(&entry.name, stage, fault);
+            let opts = FleetOptions {
+                parallel,
+                budget: Some(BUDGET),
+                ..FleetOptions::default()
+            };
+            let (_, _, fleet) = run_streamed_collect(&texts, &configs, &opts);
+            let mut service = Service::new(ServiceOptions {
+                parallel,
+                budget: Some(BUDGET),
+                ..ServiceOptions::default()
+            });
+            let served = service.analyze(&texts[0].0, &texts[0].1, &configs, None);
+            assert_outcome_matches(&tag, stage, fault, &fleet[0].outcome);
+            assert_eq!(served.outcome, fleet[0].outcome, "{tag}: outcome");
+            assert_eq!(
+                served.report,
+                module_json(&entry.name, &configs, &fleet[0]),
+                "{tag}: report bytes"
+            );
+        }
+    }
+    faultinject::clear();
 }

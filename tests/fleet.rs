@@ -1,13 +1,14 @@
 //! Fleet-driver equivalence and work-accounting tests.
 //!
-//! The fleet contract: [`run_fleet`] over many modules is **bit-identical**
+//! The fleet contract: [`run_fleet_opts`] over many modules is **bit-identical**
 //! to running [`run_pipeline_batch`] per module (sequential or parallel
 //! scheduling), while executing exactly one `ModuleAnalysis` and one
 //! `FuncSubstrate` build per module/function per run.
 
 use corpus::Params;
 use fenceplace::{
-    run_fleet_with, run_pipeline_batch, FleetJob, PipelineConfig, TargetModel, Variant,
+    run_fleet_opts, run_pipeline_batch, FleetJob, FleetOptions, PipelineConfig, TargetModel,
+    Variant,
 };
 
 fn sweep_configs() -> Vec<PipelineConfig> {
@@ -43,7 +44,13 @@ fn fleet_matches_per_module_batch_over_full_corpus() {
         .collect();
 
     for parallel in [false, true] {
-        let (fleet, stats) = run_fleet_with(&jobs, parallel);
+        let (fleet, stats) = run_fleet_opts(
+            &jobs,
+            &FleetOptions {
+                parallel,
+                ..FleetOptions::default()
+            },
+        );
         assert_eq!(fleet.len(), jobs.len());
         assert_eq!(stats.modules, jobs.len());
         for (job, got) in jobs.iter().zip(&fleet) {
@@ -91,7 +98,13 @@ fn fleet_runs_one_analysis_and_substrate_per_module() {
     let analyses_before = fence_analysis::analysis_runs();
     let cfg_before = fence_ir::cfg::cfg_builds();
     let reach_before = fence_ir::cfg::reachability_builds();
-    let (_, stats) = run_fleet_with(&jobs, false);
+    let (_, stats) = run_fleet_opts(
+        &jobs,
+        &FleetOptions {
+            parallel: false,
+            ..FleetOptions::default()
+        },
+    );
 
     assert_eq!(stats.analyses, jobs.len(), "one analysis per module");
     assert_eq!(stats.functions, total_funcs);
@@ -126,7 +139,13 @@ fn fleet_runs_one_analysis_and_substrate_per_module() {
 /// analysis.
 #[test]
 fn fleet_edge_cases() {
-    let (results, stats) = run_fleet_with(&[], false);
+    let (results, stats) = run_fleet_opts(
+        &[],
+        &FleetOptions {
+            parallel: false,
+            ..FleetOptions::default()
+        },
+    );
     assert!(results.is_empty());
     assert_eq!(stats.analyses, 0);
 
@@ -135,7 +154,13 @@ fn fleet_edge_cases() {
     let module = &entries[0].module;
 
     let jobs = [FleetJob::new("no-configs", module, Vec::new())];
-    let (results, stats) = run_fleet_with(&jobs, false);
+    let (results, stats) = run_fleet_opts(
+        &jobs,
+        &FleetOptions {
+            parallel: false,
+            ..FleetOptions::default()
+        },
+    );
     assert_eq!(results.len(), 1);
     assert!(results[0].results.is_empty());
     assert_eq!(stats.analyses, 0);
@@ -146,7 +171,13 @@ fn fleet_edge_cases() {
         module,
         vec![PipelineConfig::for_variant(Variant::Manual)],
     )];
-    let (results, stats) = run_fleet_with(&manual, false);
+    let (results, stats) = run_fleet_opts(
+        &manual,
+        &FleetOptions {
+            parallel: false,
+            ..FleetOptions::default()
+        },
+    );
     assert_eq!(stats.analyses, 0, "Manual-only fleet never analyzes");
     assert_eq!(stats.substrates, 0);
     assert_eq!(results[0].results.len(), 1);
@@ -174,7 +205,13 @@ fn fleet_heterogeneous_configs() {
             vec![PipelineConfig::for_variant(Variant::Pensieve)],
         ),
     ];
-    let (fleet, stats) = run_fleet_with(&jobs, false);
+    let (fleet, stats) = run_fleet_opts(
+        &jobs,
+        &FleetOptions {
+            parallel: false,
+            ..FleetOptions::default()
+        },
+    );
     assert_eq!(stats.analyses, 2);
     assert_eq!(fleet[0].results.len(), 2);
     assert_eq!(fleet[1].results.len(), 1);

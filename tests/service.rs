@@ -236,6 +236,31 @@ fn quarantined_module_matches_fleet_bytes() {
     assert_eq!(warm.report, expected[0], "warm quarantine bytes");
 }
 
+/// A request with an empty config list runs no stage, so it does not
+/// validate; the first request with configs must still hit the gate.
+#[test]
+fn empty_config_request_does_not_skip_validation() {
+    let configs = sweep_configs();
+    let expected = cli_baseline(
+        &[("sick".to_string(), SICK_IR.to_string())],
+        &configs,
+        &FleetOptions::default(),
+    );
+    let mut service = Service::new(ServiceOptions::default());
+    let empty = service.analyze("sick", SICK_IR, &[], None);
+    assert!(
+        empty.outcome.is_ok(),
+        "no config, no gate: {:?}",
+        empty.outcome
+    );
+    let full = service.analyze("sick", SICK_IR, &configs, None);
+    assert_eq!(full.cache, CacheDisposition::Incremental);
+    assert_eq!(
+        full.report, expected[0],
+        "quarantine bytes after an empty request"
+    );
+}
+
 // ---------------------------------------------------------------------
 // 3. Cache correctness, pinned by the analysis/CFG-build counters.
 // ---------------------------------------------------------------------
