@@ -12,11 +12,18 @@
 //! * **points-to** (`pointsto_scaling`): the seed fixpoint-by-
 //!   re-execution Andersen solver — every constraint re-applied every
 //!   round with two owned `BitSet` clones per operand visit — measured
-//!   against the sharded constraint-graph worklist solver.
+//!   against the sharded constraint-graph worklist solver;
+//! * **parser** (`seed_parse_module`): the seed textual-IR parser that
+//!   re-tokenizes every line into owned `String`s on each of its passes,
+//!   kept as the differential reference for the borrowed-token parser.
 //!
 //! Nothing in the pipeline uses this module; it exists so the
 //! quadratic→near-linear wins stay measurable after the seed code is
 //! gone.
+
+mod seed_parser;
+
+pub use seed_parser::seed_parse_module;
 
 use fence_analysis::escape::EscapeInfo;
 use fence_analysis::pointsto::{AbsLoc, PointsTo};

@@ -253,10 +253,11 @@ pub fn full_fleet(params: &Params) -> Vec<ManifestEntry> {
 /// corpora (`pack:` specs): feed lines, get back a completed module text
 /// whenever a new top-level `module` header begins.
 ///
-/// The boundary rule mirrors the parser's top-level scan exactly: a line
-/// whose first token (after stripping a `;` comment) is `fn` opens a
-/// function body, a `}` line closes it, and only a `module` token seen
-/// *outside* a body starts a new chunk. A `module` token inside an
+/// The boundary rule is the parser's header scan, on the parser's own
+/// lexer ([`fence_ir::parser::first_token`]): a line whose first token is
+/// `fn` opens a function body, a line whose first token is `}` (`}`,
+/// `} x`, `}x`) closes it, and only a `module` token seen *outside* a
+/// body starts a new chunk. A `module` token inside an
 /// unterminated body is body content, not a boundary — so a corrupted
 /// chunk mis-splits into text that fails to parse (and gets quarantined)
 /// rather than silently swallowing its neighbor. The splitter itself is
@@ -277,8 +278,7 @@ impl ModuleSplitter {
     /// Feeds one line (without its trailing newline). Returns the
     /// previous module's complete text when `line` starts the next one.
     pub fn push_line(&mut self, line: &str) -> Option<String> {
-        let code = line.split(';').next().unwrap_or("");
-        let first = code.split_whitespace().next();
+        let first = fence_ir::parser::first_token(line);
         let mut completed = None;
         match first {
             Some("}") if self.in_body => self.in_body = false,
@@ -677,6 +677,24 @@ mod tests {
         assert_eq!(split_corpus("module a\nfn f\nmodule b\n").len(), 1);
         // Blank/comment-only text yields nothing.
         assert!(split_corpus("\n  \n; comment only\n").is_empty());
+    }
+
+    #[test]
+    fn splitter_closes_a_body_where_the_parser_does() {
+        // The parser lexes `}x` and `}}` as a `}` token first, so the body
+        // ends there and `module b` starts the next chunk. Module `a` then
+        // fails to parse on its own (its body is not closed by a line that
+        // is exactly `}`), and `module b` parses.
+        let b = "module b\nglobal g 1\nfn f params=0 locals=() {\nbb0:\n  ret\n}\n";
+        for close in ["}x", "}}", "} x"] {
+            let a =
+                format!("module a\nglobal g 1\nfn f params=0 locals=() {{\nbb0:\n  ret\n{close}\n");
+            let chunks = split_corpus(&format!("{a}{b}"));
+            assert_eq!(chunks, [a.as_str(), b], "closing line `{close}`");
+            let e = fence_ir::parser::parse_module(&chunks[0]).unwrap_err();
+            assert_eq!(e.line, 3, "{e}");
+            fence_ir::parser::parse_module(&chunks[1]).unwrap();
+        }
     }
 
     #[test]

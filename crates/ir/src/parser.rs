@@ -1,9 +1,23 @@
 //! Parser for the textual IR format emitted by [`crate::printer`].
 //!
 //! The format is line-oriented; `;` starts a comment. See the printer docs
-//! for the grammar by example. Parsing is two-phase so that forward
-//! references (mutually recursive calls, instruction results used across
-//! blocks) resolve without declaration order constraints.
+//! for the grammar by example. One lexer, [`tokenize`], splits a line into
+//! `&str` slices of the input, so no line is copied and only the names
+//! that end up in the [`Module`] are allocated.
+//!
+//! Forward references (mutually recursive calls, globals declared after
+//! their users, instruction results used across blocks) resolve without
+//! declaration order constraints, because parsing runs in two steps:
+//!
+//! 1. the header scan reads the `module`, `global` and `fn` lines and
+//!    finds where each function body ends, from the first token of each
+//!    body line;
+//! 2. each body is then tokenized once into a buffer that a pre-pass
+//!    (blocks, instruction ids, `%label`s) and the main pass both read.
+//!
+//! This order also fixes which diagnostic a text with several errors
+//! reports: any header error, else the first function's pre-pass error,
+//! else its main-pass error, then the next function's.
 
 use crate::func::{Block, Function, Inst};
 use crate::ids::{BlockId, FuncId, GlobalId, InstId, LocalId};
@@ -36,37 +50,40 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
     })
 }
 
-/// Splits a line into tokens; `, ( ) =` are single-char tokens.
-fn tokenize(line: &str) -> Vec<String> {
-    let mut toks = Vec::new();
-    let mut cur = String::new();
-    for ch in line.chars() {
-        match ch {
-            ',' | '(' | ')' | '=' | '{' | '}' => {
-                if !cur.is_empty() {
-                    toks.push(std::mem::take(&mut cur));
-                }
-                toks.push(ch.to_string());
-            }
-            c if c.is_whitespace() => {
-                if !cur.is_empty() {
-                    toks.push(std::mem::take(&mut cur));
-                }
-            }
-            c => cur.push(c),
-        }
-    }
-    if !cur.is_empty() {
-        toks.push(cur);
-    }
-    toks
+fn is_punct(c: char) -> bool {
+    matches!(c, ',' | '(' | ')' | '=' | '{' | '}')
+}
+
+/// The lexer: the tokens of one line, borrowed from it. `, ( ) = { }` are
+/// single-char tokens, whitespace separates tokens, and `;` starts a
+/// comment that runs to the end of the line.
+pub fn tokenize(line: &str) -> impl Iterator<Item = &str> {
+    let mut rest = line;
+    std::iter::from_fn(move || {
+        rest = rest.trim_start();
+        let len = match rest.chars().next()? {
+            ';' => return None,
+            c if is_punct(c) => 1,
+            _ => rest
+                .find(|c: char| c.is_whitespace() || c == ';' || is_punct(c))
+                .unwrap_or(rest.len()),
+        };
+        let (tok, tail) = rest.split_at(len);
+        rest = tail;
+        Some(tok)
+    })
+}
+
+/// The first token of `line`; `None` for a blank or comment-only line.
+pub fn first_token(line: &str) -> Option<&str> {
+    tokenize(line).next()
 }
 
 struct FuncCtx<'a> {
-    globals: &'a FastMap<String, GlobalId>,
-    funcs: &'a FastMap<String, FuncId>,
-    locals: FastMap<String, LocalId>,
-    inst_labels: FastMap<String, InstId>,
+    globals: &'a FastMap<&'a str, GlobalId>,
+    funcs: &'a FastMap<&'a str, FuncId>,
+    locals: FastMap<&'a str, LocalId>,
+    inst_labels: FastMap<&'a str, InstId>,
 }
 
 impl FuncCtx<'_> {
@@ -111,11 +128,28 @@ fn parse_block_ref(tok: &str, line: usize) -> Result<BlockId, ParseError> {
     }
 }
 
+/// The `bbN` of a block label line, written `bbN:` or `bbN :`.
+fn block_label<'t>(toks: &[&'t str]) -> Option<&'t str> {
+    match *toks {
+        [first, ":", ..] if first.starts_with("bb") => Some(first),
+        [first, ..] => first.strip_suffix(':').filter(|s| s.starts_with("bb")),
+        [] => None,
+    }
+}
+
+/// Splits a `%label = <inst>` line into its label and instruction.
+fn split_result<'s, 't>(toks: &'s [&'t str]) -> (Option<&'t str>, &'s [&'t str]) {
+    match *toks {
+        [first, "=", ..] if first.starts_with('%') => (Some(&first[1..]), &toks[2..]),
+        _ => (None, toks),
+    }
+}
+
 /// Parses operand lists of the shape `a, b, c` (given already-split tokens).
-fn parse_args(toks: &[String], ctx: &FuncCtx, line: usize) -> Result<Vec<Value>, ParseError> {
+fn parse_args(toks: &[&str], ctx: &FuncCtx, line: usize) -> Result<Vec<Value>, ParseError> {
     let mut args = Vec::new();
     let mut expect_value = true;
-    for t in toks {
+    for &t in toks {
         if t == "," {
             if expect_value {
                 return err(line, "misplaced comma");
@@ -135,103 +169,129 @@ fn parse_args(toks: &[String], ctx: &FuncCtx, line: usize) -> Result<Vec<Value>,
     Ok(args)
 }
 
+/// A function found by the header scan.
+struct FnHeader<'a> {
+    /// 1-based line of the `fn` header.
+    line: usize,
+    /// The header's tokens: `fn <name> params = <n> ...`.
+    toks: Vec<&'a str>,
+    num_params: u16,
+    /// The text's lines after the header.
+    after: std::str::Lines<'a>,
+    /// How many lines lie between the header and the `}` line closing
+    /// the body; `None` while the body is unterminated.
+    body_lines: Option<usize>,
+}
+
 /// Parses a full module from text.
 pub fn parse_module(text: &str) -> Result<Module, ParseError> {
-    let lines: Vec<(usize, String, String)> = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| {
-            let (no_comment, comment) = match l.find(';') {
-                Some(p) => (&l[..p], l[p + 1..].trim().to_string()),
-                None => (l, String::new()),
-            };
-            (i + 1, no_comment.trim().to_string(), comment)
-        })
-        .collect();
-
     let mut module = Module::new("anonymous");
-    let mut global_map: FastMap<String, GlobalId> = FastMap::default();
-    let mut func_map: FastMap<String, FuncId> = FastMap::default();
+    let mut global_map: FastMap<&str, GlobalId> = FastMap::default();
+    let mut func_map: FastMap<&str, FuncId> = FastMap::default();
+    let mut headers: Vec<FnHeader> = Vec::new();
 
-    // ---- phase A: headers ----
-    // Tracks whether we are inside a `fn ... { ... }` body: body lines
-    // are phase B's job, but *top-level* lines must be one of the known
-    // directives — free text is a parse error, not an empty module.
+    // ---- header scan ----
+    // Inside a `fn ... {` body only a line's first token matters: `}`
+    // ends the body, which the body parse reads. *Top-level* lines must
+    // be one of the known directives — free text is a parse error, not
+    // an empty module.
     let mut in_body = false;
-    for (ln, line, _) in &lines {
-        let toks = tokenize(line);
-        if toks.is_empty() {
+    let mut nested_fn = false;
+    let mut toks: Vec<&str> = Vec::new();
+    let mut lines = text.lines();
+    let mut ln = 0;
+    while let Some(line) = lines.next() {
+        ln += 1;
+        if in_body {
+            let mut line_toks = tokenize(line);
+            match line_toks.next() {
+                // A body ends at a line that is exactly `}`, with no `fn`
+                // line before it; any other `}` line leaves it unterminated.
+                Some("}") => {
+                    in_body = false;
+                    if let Some(f) = headers.last_mut() {
+                        if !nested_fn && line_toks.next().is_none() {
+                            f.body_lines = Some(ln - f.line - 1);
+                        }
+                    }
+                }
+                Some("fn") => nested_fn = true,
+                _ => {}
+            }
             continue;
         }
-        match toks[0].as_str() {
-            "}" if in_body => {
-                in_body = false;
-                continue;
-            }
-            _ if in_body => continue, // body lines handled in phase B
-            _ => {}
-        }
-        match toks[0].as_str() {
+        toks.clear();
+        toks.extend(tokenize(line));
+        let Some(&first) = toks.first() else {
+            continue;
+        };
+        match first {
             "module" => {
                 if toks.len() != 2 {
-                    return err(*ln, "expected `module <name>`");
+                    return err(ln, "expected `module <name>`");
                 }
-                module.name = toks[1].clone();
+                module.name = toks[1].to_string();
             }
             "global" => {
                 if toks.len() < 3 {
-                    return err(*ln, "expected `global <name> <words> [= inits]`");
+                    return err(ln, "expected `global <name> <words> [= inits]`");
                 }
-                let name = toks[1].clone();
+                let name = toks[1];
                 let words: u32 = match toks[2].parse() {
                     Ok(w) => w,
-                    Err(_) => return err(*ln, "bad global size"),
+                    Err(_) => return err(ln, "bad global size"),
                 };
                 let mut init = Vec::new();
                 if toks.len() > 3 {
                     if toks[3] != "=" {
-                        return err(*ln, "expected `=` before initializers");
+                        return err(ln, "expected `=` before initializers");
                     }
                     for t in &toks[4..] {
                         match t.parse::<i64>() {
                             Ok(v) => init.push(v),
-                            Err(_) => return err(*ln, format!("bad initializer `{t}`")),
+                            Err(_) => return err(ln, format!("bad initializer `{t}`")),
                         }
                     }
                     if init.len() > words as usize {
-                        return err(*ln, "more initializers than words");
+                        return err(ln, "more initializers than words");
                     }
                 }
-                if global_map.contains_key(&name) {
-                    return err(*ln, format!("duplicate global {name}"));
+                if global_map.contains_key(name) {
+                    return err(ln, format!("duplicate global {name}"));
                 }
-                let id = GlobalId::new(module.globals.len());
-                global_map.insert(name.clone(), id);
-                module.globals.push(GlobalDecl { name, words, init });
+                global_map.insert(name, GlobalId::new(module.globals.len()));
+                module.globals.push(GlobalDecl {
+                    name: name.to_string(),
+                    words,
+                    init,
+                });
             }
             "fn" => {
                 // `fn <name> params = <n> ...`
                 if toks.len() < 5 || toks[2] != "params" || toks[3] != "=" {
-                    return err(*ln, "expected `fn <name> params=<n> locals=(..) {`");
+                    return err(ln, "expected `fn <name> params=<n> locals=(..) {`");
                 }
-                let name = toks[1].clone();
                 let num_params: u16 = match toks[4].parse() {
                     Ok(p) => p,
-                    Err(_) => return err(*ln, "bad params count"),
+                    Err(_) => return err(ln, "bad params count"),
                 };
-                if func_map.contains_key(&name) {
-                    return err(*ln, format!("duplicate function {name}"));
+                if func_map.contains_key(toks[1]) {
+                    return err(ln, format!("duplicate function {}", toks[1]));
                 }
-                let id = FuncId::new(module.funcs.len());
-                func_map.insert(name.clone(), id);
-                let mut f = Function::new(name, num_params);
-                f.blocks.clear(); // rebuilt in phase B
-                module.funcs.push(f);
+                func_map.insert(toks[1], FuncId::new(headers.len()));
+                headers.push(FnHeader {
+                    line: ln,
+                    toks: toks.clone(),
+                    num_params,
+                    after: lines.clone(),
+                    body_lines: None,
+                });
                 in_body = true;
+                nested_fn = false;
             }
             other => {
                 return err(
-                    *ln,
+                    ln,
                     format!(
                         "unexpected top-level `{other}` (expected `module`, `global`, or `fn`)"
                     ),
@@ -240,60 +300,26 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
         }
     }
 
-    // ---- phase B: function bodies ----
-    let mut i = 0;
-    while i < lines.len() {
-        let (ln, line, _) = &lines[i];
-        let toks = tokenize(line);
-        if toks.first().map(String::as_str) == Some("fn") {
-            // Collect body lines until matching `}` at line start.
-            let start = i;
-            let mut end = None;
-            for (j, (_, l, _)) in lines.iter().enumerate().skip(i + 1) {
-                if l.trim() == "}" {
-                    end = Some(j);
-                    break;
-                }
-                if tokenize(l).first().map(String::as_str) == Some("fn") {
-                    break;
-                }
-            }
-            let end = match end {
-                Some(e) => e,
-                None => return err(*ln, "unterminated function body (missing `}`)"),
-            };
-            let fname = toks[1].clone();
-            let fid = func_map[&fname];
-            let func = parse_function_body(
-                &lines[start..=end],
-                &toks,
-                *ln,
-                &module,
-                &global_map,
-                &func_map,
-            )?;
-            module.funcs[fid.index()] = func;
-            i = end + 1;
-        } else {
-            i += 1;
-        }
+    // ---- function bodies, in order ----
+    for f in &headers {
+        let Some(body_lines) = f.body_lines else {
+            return err(f.line, "unterminated function body (missing `}`)");
+        };
+        let func = parse_function_body(f, body_lines, &global_map, &func_map)?;
+        module.funcs.push(func);
     }
-
     Ok(module)
 }
 
-fn parse_function_body(
-    lines: &[(usize, String, String)],
-    header_toks: &[String],
-    header_ln: usize,
-    module: &Module,
-    global_map: &FastMap<String, GlobalId>,
-    func_map: &FastMap<String, FuncId>,
+fn parse_function_body<'a>(
+    header: &FnHeader<'a>,
+    body_lines: usize,
+    global_map: &FastMap<&'a str, GlobalId>,
+    func_map: &FastMap<&'a str, FuncId>,
 ) -> Result<Function, ParseError> {
-    let name = header_toks[1].clone();
-    let num_params: u16 = header_toks[4].parse().unwrap();
-    let mut func = Function::new(name, num_params);
-    func.blocks.clear();
+    let header_ln = header.line;
+    let header_toks = &header.toks;
+    let mut func = Function::new(header_toks[1], header.num_params);
 
     // Header extras: locals=(..) and optional entry=bbK.
     let mut ctx = FuncCtx {
@@ -305,30 +331,28 @@ fn parse_function_body(
     let mut t = 5;
     let mut entry: Option<BlockId> = None;
     while t < header_toks.len() {
-        match header_toks[t].as_str() {
+        match header_toks[t] {
             "locals" => {
-                if header_toks.get(t + 1).map(String::as_str) != Some("=")
-                    || header_toks.get(t + 2).map(String::as_str) != Some("(")
-                {
+                if !matches!(header_toks.get(t + 1..t + 3), Some(["=", "("])) {
                     return err(header_ln, "expected `locals=(...)`");
                 }
                 t += 3;
                 while t < header_toks.len() && header_toks[t] != ")" {
-                    let lname = header_toks[t].clone();
+                    let lname = header_toks[t];
                     let lid = LocalId::new(func.locals.len());
-                    if ctx.locals.insert(lname.clone(), lid).is_some() {
+                    if ctx.locals.insert(lname, lid).is_some() {
                         return err(header_ln, format!("duplicate local {lname}"));
                     }
-                    func.locals.push(lname);
+                    func.locals.push(lname.to_string());
                     t += 1;
                 }
                 t += 1; // skip `)`
             }
             "entry" => {
-                if header_toks.get(t + 1).map(String::as_str) != Some("=") {
+                let Some(["=", block]) = header_toks.get(t + 1..t + 3) else {
                     return err(header_ln, "expected `entry=bbK`");
-                }
-                entry = Some(parse_block_ref(&header_toks[t + 2], header_ln)?);
+                };
+                entry = Some(parse_block_ref(block, header_ln)?);
                 t += 3;
             }
             "{" => t += 1,
@@ -336,137 +360,104 @@ fn parse_function_body(
         }
     }
 
+    // Tokenize the body once; both passes below read the buffer.
+    let mut body_toks: Vec<&str> = Vec::new();
+    let mut spans = Vec::with_capacity(body_lines);
+    for line in header.after.clone().take(body_lines) {
+        let start = body_toks.len();
+        body_toks.extend(tokenize(line));
+        spans.push((start..body_toks.len(), line));
+    }
+    let body = || {
+        (spans.iter().enumerate())
+            .map(|(k, (r, line))| (header_ln + 1 + k, &body_toks[r.clone()], *line))
+    };
+
     // Pre-pass over body: assign InstIds in appearance order; bind labels;
     // discover blocks. The block table is dense (`0..=max_block`), so a
     // label index is bounded by the body line count — every block needs
     // its own label line — which keeps a mutated `bb999999999:` label
     // from allocating a billion empty blocks.
-    let max_legal_block = lines.len() - 2;
-    let check_block = |b: BlockId, tok: &str, ln: usize| -> Result<BlockId, ParseError> {
-        if b.index() >= max_legal_block {
-            return err(
-                ln,
-                format!(
-                    "block label `{tok}` out of range (function body has {max_legal_block} lines)"
-                ),
-            );
-        }
-        Ok(b)
-    };
     let mut max_block = 0usize;
     let mut saw_block = false;
     let mut next_inst = 0usize;
-    for (ln, line, _) in &lines[1..lines.len() - 1] {
-        let toks = tokenize(line);
+    for (ln, toks, _) in body() {
         if toks.is_empty() {
             continue;
         }
-        if toks[0].starts_with("bb") && toks.len() >= 2 && toks[1] == ":" {
-            let b = check_block(parse_block_ref(&toks[0], *ln)?, &toks[0], *ln)?;
+        if let Some(label) = block_label(toks) {
+            let b = parse_block_ref(label, ln)?;
+            if b.index() >= body_lines {
+                return err(
+                    ln,
+                    format!(
+                        "block label `{label}` out of range (function body has {body_lines} lines)"
+                    ),
+                );
+            }
             max_block = max_block.max(b.index());
             saw_block = true;
             continue;
         }
-        // also accept `bbN:` fused by tokenizer? ':' isn't split; handle suffix.
-        if let Some(stripped) = toks[0].strip_suffix(':') {
-            if stripped.starts_with("bb") {
-                let b = check_block(parse_block_ref(stripped, *ln)?, stripped, *ln)?;
-                max_block = max_block.max(b.index());
-                saw_block = true;
-                continue;
-            }
-        }
         if !saw_block {
-            return err(*ln, "instruction before any block label");
+            return err(ln, "instruction before any block label");
         }
-        let id = InstId::new(next_inst);
-        next_inst += 1;
-        if toks[0].starts_with('%') && toks.get(1).map(String::as_str) == Some("=") {
-            let label = toks[0][1..].to_string();
-            if ctx.inst_labels.insert(label.clone(), id).is_some() {
-                return err(*ln, format!("duplicate result label %{label}"));
+        if let (Some(label), _) = split_result(toks) {
+            if ctx
+                .inst_labels
+                .insert(label, InstId::new(next_inst))
+                .is_some()
+            {
+                return err(ln, format!("duplicate result label %{label}"));
             }
         }
+        next_inst += 1;
     }
-    for bi in 0..=max_block {
-        func.blocks.push(Block {
-            name: String::new(),
-            insts: Vec::new(),
-        });
-        let _ = bi;
-    }
-    if func.blocks.is_empty() {
-        return err(header_ln, "function has no blocks");
-    }
+    func.blocks = vec![Block::default(); max_block + 1];
+    func.insts = Vec::with_capacity(next_inst);
     func.entry = entry.unwrap_or(BlockId::new(0));
 
-    // Main pass.
-    let mut current: Option<BlockId> = None;
-    let mut next_id = 0usize;
-    for (ln, line, comment) in &lines[1..lines.len() - 1] {
-        let toks = tokenize(line);
+    // Main pass. The pre-pass rejected instructions before the first
+    // label, so `current` is set before it is read.
+    let mut current = BlockId::new(0);
+    for (ln, toks, line) in body() {
         if toks.is_empty() {
             continue;
         }
-        let block_label =
-            if toks[0].starts_with("bb") && toks.get(1).map(String::as_str) == Some(":") {
-                Some(toks[0].clone())
-            } else {
-                toks[0]
-                    .strip_suffix(':')
-                    .filter(|s| s.starts_with("bb"))
-                    .map(str::to_string)
-            };
-        if let Some(lbl) = block_label {
-            let b = parse_block_ref(&lbl, *ln)?;
+        if let Some(label) = block_label(toks) {
+            let b = parse_block_ref(label, ln)?;
             // A trailing comment on the label line is the block's name.
+            let comment = line.split_once(';').map_or("", |(_, c)| c.trim());
             if !comment.is_empty() {
-                func.blocks[b.index()].name = comment.clone();
+                func.blocks[b.index()].name = comment.to_string();
             }
-            current = Some(b);
+            current = b;
             continue;
         }
-        let cur = match current {
-            Some(c) => c,
-            None => return err(*ln, "instruction before any block label"),
-        };
-        // Strip `%label =` prefix.
-        let (has_result, body) =
-            if toks[0].starts_with('%') && toks.get(1).map(String::as_str) == Some("=") {
-                (true, &toks[2..])
-            } else {
-                (false, &toks[..])
-            };
-        let kind = parse_inst(body, &ctx, module, *ln)?;
-        if has_result && !kind.has_result() {
-            return err(*ln, "instruction produces no result but one is bound");
+        let (label, inst) = split_result(toks);
+        let kind = parse_inst(inst, &ctx, ln)?;
+        if label.is_some() && !kind.has_result() {
+            return err(ln, "instruction produces no result but one is bound");
         }
-        let id = InstId::new(next_id);
-        next_id += 1;
+        func.blocks[current.index()]
+            .insts
+            .push(InstId::new(func.insts.len()));
         func.insts.push(Inst { kind });
-        func.blocks[cur.index()].insts.push(id);
     }
 
     // Drop the growth slack: a parsed module can stay resident for long
     // (the analysis service caches it).
-    func.insts.shrink_to_fit();
-    func.blocks.shrink_to_fit();
     for block in &mut func.blocks {
         block.insts.shrink_to_fit();
     }
     Ok(func)
 }
 
-fn parse_inst(
-    toks: &[String],
-    ctx: &FuncCtx,
-    module: &Module,
-    ln: usize,
-) -> Result<InstKind, ParseError> {
+fn parse_inst(toks: &[&str], ctx: &FuncCtx, ln: usize) -> Result<InstKind, ParseError> {
     if toks.is_empty() {
         return err(ln, "empty instruction");
     }
-    let mn = toks[0].as_str();
+    let mn = toks[0];
     let rest = &toks[1..];
     let kind = match mn {
         "load" => {
@@ -490,7 +481,7 @@ fn parse_inst(
             if rest.is_empty() {
                 return err(ln, "rmw needs an operator");
             }
-            let op = RmwOp::from_name(&rest[0]).ok_or(ParseError {
+            let op = RmwOp::from_name(rest[0]).ok_or(ParseError {
                 line: ln,
                 message: format!("bad rmw op `{}`", rest[0]),
             })?;
@@ -516,7 +507,7 @@ fn parse_inst(
             }
         }
         "fence" => {
-            let kind = match rest.first().map(String::as_str) {
+            let kind = match rest.first().copied() {
                 Some("full") => FenceKind::Full,
                 Some("compiler") => FenceKind::Compiler,
                 _ => return err(ln, "fence kind must be `full` or `compiler`"),
@@ -534,7 +525,7 @@ fn parse_inst(
             if rest.is_empty() {
                 return err(ln, "cmp needs an operator");
             }
-            let op = CmpOp::from_name(&rest[0]).ok_or(ParseError {
+            let op = CmpOp::from_name(rest[0]).ok_or(ParseError {
                 line: ln,
                 message: format!("bad cmp op `{}`", rest[0]),
             })?;
@@ -574,14 +565,14 @@ fn parse_inst(
                 return err(ln, "read_local takes 1 local name");
             }
             InstKind::ReadLocal {
-                local: ctx.local(&rest[0], ln)?,
+                local: ctx.local(rest[0], ln)?,
             }
         }
         "write_local" => {
             if rest.len() < 3 || rest[1] != "," {
                 return err(ln, "expected `write_local <local>, <value>`");
             }
-            let local = ctx.local(&rest[0], ln)?;
+            let local = ctx.local(rest[0], ln)?;
             let a = parse_args(&rest[2..], ctx, ln)?;
             if a.len() != 1 {
                 return err(ln, "write_local takes 1 value");
@@ -589,13 +580,13 @@ fn parse_inst(
             InstKind::WriteLocal { local, val: a[0] }
         }
         "call" | "intrinsic" => {
-            if rest.len() < 3 || rest[1] != "(" || rest.last().map(String::as_str) != Some(")") {
+            if rest.len() < 3 || rest[1] != "(" || rest.last() != Some(&")") {
                 return err(ln, format!("expected `{mn} <name>(args)`"));
             }
-            let callee_name = &rest[0];
+            let callee_name = rest[0];
             let args = parse_args(&rest[2..rest.len() - 1], ctx, ln)?;
             if mn == "call" {
-                match ctx.funcs.get(callee_name.as_str()) {
+                match ctx.funcs.get(callee_name) {
                     Some(&f) => InstKind::Call { callee: f, args },
                     None => return err(ln, format!("unknown function `{callee_name}`")),
                 }
@@ -611,7 +602,7 @@ fn parse_inst(
                 return err(ln, "br takes 1 block");
             }
             InstKind::Br {
-                target: parse_block_ref(&rest[0], ln)?,
+                target: parse_block_ref(rest[0], ln)?,
             }
         }
         "condbr" => {
@@ -619,9 +610,9 @@ fn parse_inst(
                 return err(ln, "expected `condbr <val>, bbN, bbM`");
             }
             InstKind::CondBr {
-                cond: ctx.value(&rest[0], ln)?,
-                then_bb: parse_block_ref(&rest[2], ln)?,
-                else_bb: parse_block_ref(&rest[4], ln)?,
+                cond: ctx.value(rest[0], ln)?,
+                then_bb: parse_block_ref(rest[2], ln)?,
+                else_bb: parse_block_ref(rest[4], ln)?,
             }
         }
         "ret" => {
@@ -629,7 +620,7 @@ fn parse_inst(
                 InstKind::Ret { val: None }
             } else if rest.len() == 1 {
                 InstKind::Ret {
-                    val: Some(ctx.value(&rest[0], ln)?),
+                    val: Some(ctx.value(rest[0], ln)?),
                 }
             } else {
                 return err(ln, "ret takes at most 1 operand");
@@ -653,7 +644,6 @@ fn parse_inst(
             }
         }
     };
-    let _ = module;
     Ok(kind)
 }
 
@@ -663,10 +653,9 @@ fn parse_inst(
 /// including *which* texts failed. With `parallel: false` this is a
 /// plain serial map.
 ///
-/// This is the streamed-ingestion building block: the fleet's windowed
-/// scheduler feeds texts here (or as individual ingest units) so parse
-/// time overlaps analysis of already-admitted modules instead of being
-/// serial prologue.
+/// This is the batch form for callers that hold every text at once. The
+/// fleet's streamed ingest does not use it: `fleet::ingest` parses each
+/// admitted text as its own pool unit with [`parse_module`].
 pub fn parse_modules<S: AsRef<str> + Sync>(
     texts: &[S],
     parallel: bool,

@@ -14,7 +14,7 @@
 #            + release build of the perfbench harness (BENCHMARK.json)
 #   faults   cargo test --features faultinject (fault-injection matrix)
 #   certify  litmus regressions + differential certify fuzz + CLI smoke
-#   stream   streamed-vs-resident differential + CLI --stream smoke
+#   stream   streamed-vs-resident differential + CLI --stream and pack: smokes
 #   serve    service suite (protocol contract + cache pins) + daemon smoke
 #   all      every stage above, in CI order (the default)
 set -euo pipefail
@@ -85,6 +85,21 @@ stage_stream() {
   cargo run --release --quiet --bin fenceplace -- \
     --program 'kernel:*' --config Control:x86tso --config Pensieve:weak \
     --stream --window 4
+
+  echo "== fenceplace pack: smoke (the nine kernels' printed IR as one pack) =="
+  # The pack must split back into nine modules that all parse and place:
+  # exit 0 and nine `ok` modules in fleet_summary.json.
+  cargo build --release --quiet --bin fenceplace --bin dump_ir
+  pack_dir="$(mktemp -d)"
+  trap 'rm -rf "$pack_dir"' EXIT
+  ./target/release/dump_ir | sed -n '/^available kernels:/,$p' | tail -n +2 | sed 's/^  //' |
+    while IFS= read -r kernel; do ./target/release/dump_ir "$kernel"; done > "$pack_dir/kernels.fir"
+  ./target/release/fenceplace --program "pack:$pack_dir/kernels.fir" --window 2 \
+    --config Control:x86tso --out "$pack_dir/out"
+  ok_modules="$(grep -c '"status": "ok"' "$pack_dir/out/fleet_summary.json")"
+  [ "$ok_modules" -eq 9 ] || { echo "pack smoke: $ok_modules of 9 modules ok" >&2; exit 1; }
+  rm -rf "$pack_dir"
+  trap - EXIT
 }
 
 stage_serve() {

@@ -1,6 +1,9 @@
 //! Property test: `parse_module` is total on arbitrary mutations of
 //! well-formed printed IR — it returns `Ok` or a `ParseError` carrying a
 //! plausible line number, and never panics, however the text is mangled.
+//! On the same mutations it agrees with the seed parser
+//! (`fence_bench::naive::seed_parse_module`): the same module, or the
+//! same `(line, message)` diagnostic.
 //!
 //! Mutations model realistic corruption of `file:` specs: truncated
 //! writes, dropped/duplicated/swapped lines, and byte splices (snapped
@@ -145,8 +148,166 @@ fn seeds() -> Vec<String> {
     out
 }
 
+/// Checks `parse_module` against the seed parser on one text. Where the
+/// seed returns a module, `parse_module` must return the same one: equal
+/// printed bytes and equal `Debug` forms, which also cover what the
+/// printer drops or rewrites (block names, raw local names, the entry
+/// block). Where the seed returns a diagnostic, `parse_module` must
+/// return one with the same line and message. Where the seed panics,
+/// `parse_module` must return a diagnostic.
+fn same_as_seed(text: &str) -> Result<(), String> {
+    let new = fence_ir::parser::parse_module(text);
+    let seed = std::panic::catch_unwind(|| fence_bench::naive::seed_parse_module(text));
+    match (seed, new) {
+        (Ok(Ok(seed)), Ok(new)) => {
+            prop_assert_eq!(
+                fence_ir::printer::print_module(&new),
+                fence_ir::printer::print_module(&seed)
+            );
+            prop_assert_eq!(format!("{new:?}"), format!("{seed:?}"));
+        }
+        (Ok(Err(seed)), Err(new)) => prop_assert_eq!(new, seed),
+        (Err(_), Err(_)) => {}
+        (seed, new) => {
+            let seed = seed.map_err(|_| "panic");
+            prop_assert!(false, "seed {seed:?} but new {new:?}");
+        }
+    }
+    Ok(())
+}
+
+/// Panics with the differential's message if `text` parses differently
+/// from the seed; returns `parse_module`'s result for further checks.
+fn check(text: &str) -> Result<fence_ir::Module, fence_ir::parser::ParseError> {
+    if let Err(msg) = same_as_seed(text) {
+        panic!("parser differs from the seed on {text:?}: {msg}");
+    }
+    fence_ir::parser::parse_module(text)
+}
+
+const MP: &str = "module mp
+global data 1
+global flag 1
+
+fn producer params=0 locals=() {
+bb0: ; start
+  store @data, c42
+  store @flag, c1
+  ret
+}
+
+fn consumer params=0 locals=(x) {
+bb0:
+  br bb1
+bb1: ; spin
+  %v = load @flag
+  %c = cmp eq %v, c0
+  condbr %c, bb1, bb2
+bb2:
+  %d = load @data
+  write_local x, %d
+  ret %d
+}
+";
+
+#[test]
+fn seed_agrees_on_line_endings_and_whitespace() {
+    let base = check(MP).expect("MP parses");
+    let crlf = MP.replace('\n', "\r\n");
+    let tabs = MP.replace("  ", "\t");
+    // U+00A0 is whitespace to the lexer, inside a line and in a comment.
+    let nbsp = MP
+        .replace("store @data, c42", "store\u{a0}@data,\u{a0}c42")
+        .replace("; spin", ";\u{a0}spin\u{a0}");
+    for text in [&crlf, &tabs, &nbsp] {
+        let m = check(text).expect("reformatted MP parses");
+        assert_eq!(format!("{m:?}"), format!("{base:?}"));
+    }
+    // A body error keeps its line number under `\r\n`.
+    let bad = MP.replace("ret %d", "ret %nope").replace('\n', "\r\n");
+    assert_eq!(check(&bad).unwrap_err().line, 22);
+}
+
+#[test]
+fn seed_agrees_on_labels_and_forward_references() {
+    // `bb1 :` with a space is a block label like `bb1:`.
+    let spaced = MP.replace("bb1: ; spin", "bb1 : ; spin");
+    let m = check(&spaced).expect("spaced label parses");
+    assert_eq!(m.funcs[1].blocks[1].name, "spin");
+    // A repeated label line reopens its block; an empty comment keeps the
+    // name an earlier label line gave it.
+    let reopened = "module m\nfn f params=0 locals=() {\nbb0: ; first\n  %a = load c0\n\
+                    bb0: ;\n  ret %a\n}\n";
+    let m = check(reopened).expect("reopened block parses");
+    assert_eq!(m.funcs[0].blocks[0].name, "first");
+    // A `%label` used before the line defining it, and a global declared
+    // after the function using it.
+    let fwd = "module m\nfn f params=0 locals=() {\nbb0:\n  br bb1\nbb2:\n  \
+               ret %v\nbb1:\n  %v = load @late\n  br bb2\n}\nglobal late 1\n";
+    check(fwd).expect("forward references resolve");
+    // The main pass reports an unknown instruction on line 4 only after
+    // the pre-pass found no duplicate label (line 6 here): pre-pass wins.
+    let twice = "module m\nfn f params=0 locals=() {\nbb0:\n  frob\n  %a = load c0\n  \
+                 %a = load c0\n  ret\n}\n";
+    let e = check(twice).unwrap_err();
+    assert_eq!(
+        (e.line, e.message.as_str()),
+        (6, "duplicate result label %a")
+    );
+}
+
+#[test]
+fn seed_agrees_on_closing_lines_and_error_order() {
+    // `} x` and `}x` end the body for the header scan, but only a line
+    // that is exactly `}` terminates it.
+    for close in ["} x", "}x", "}}"] {
+        let text = MP.replacen("  ret\n}", &format!("  ret\n{close}"), 1);
+        let e = check(&text).unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (5, "unterminated function body (missing `}`)")
+        );
+    }
+    // A header error after a body error wins: the header scan runs first.
+    let text = format!("{MP}global data 2\n").replace("ret %d", "ret %nope");
+    let e = check(&text).unwrap_err();
+    assert_eq!((e.line, e.message.as_str()), (24, "duplicate global data"));
+    // Of two body errors, the earlier function's wins.
+    let text = MP
+        .replace("store @flag, c1", "store @nope, c1")
+        .replace("ret %d", "ret %x");
+    assert_eq!(check(&text).unwrap_err().line, 8);
+}
+
+#[test]
+fn truncated_entry_is_a_diagnostic() {
+    // The seed indexes past the header here and panics; `parse_module`
+    // reports the malformed header instead.
+    let text = "module m\nfn f params=0 locals=() entry=\nbb0:\n  ret\n}\n";
+    let e = check(text).unwrap_err();
+    assert_eq!((e.line, e.message.as_str()), (2, "expected `entry=bbK`"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// On mutated printed IR `parse_module` returns exactly what the seed
+    /// parser returns: the same module or the same diagnostic.
+    #[test]
+    fn parse_module_matches_seed_under_mutation(
+        input in (
+            0usize..6,
+            proptest::collection::vec((0u32..6, any::<u64>(), any::<u64>()), 1..8),
+        )
+    ) {
+        let (seed_idx, raw_mutations) = input;
+        let seeds = seeds();
+        let mut text = seeds[seed_idx].clone();
+        for (op, a, b) in &raw_mutations {
+            apply(&mut text, &decode(*op, *a, *b));
+        }
+        same_as_seed(&text)?;
+    }
 
     /// However we mangle printed IR, the parser never panics: it returns
     /// `Ok` or a `ParseError` whose line number points into the text.
