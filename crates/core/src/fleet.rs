@@ -1225,13 +1225,20 @@ where
     }
     let mut slots: Vec<Slot> = Vec::new();
     let mut texts: Vec<(usize, String, String)> = Vec::new();
+    // Items that held a module or its text; a load failure never did
+    // (the windowed scheduler counts residency the same way).
+    let mut resident = 0;
     for item in items {
         match item {
-            StreamItem::Module { name, module } => slots.push(Slot::Run(name, module)),
+            StreamItem::Module { name, module } => {
+                resident += 1;
+                slots.push(Slot::Run(name, module));
+            }
             StreamItem::Failed { name, error } => {
                 slots.push(Slot::Quarantined(name, ModuleOutcome::LoadFailed { error }))
             }
             StreamItem::Text { name, text } => {
+                resident += 1;
                 texts.push((slots.len(), name, text));
                 slots.push(Slot::Pending);
             }
@@ -1262,9 +1269,9 @@ where
     let (fleet, mut stats) = run_fleet_opts(&jobs, &inner);
 
     // Deliver in admission order; quarantined-at-ingest items get empty
-    // results, and the whole stream was resident at once.
+    // results, and every item that held a module was resident at once.
     stats.modules = slots.len();
-    stats.peak_resident_modules = slots.len();
+    stats.peak_resident_modules = resident;
     let mut fleet = fleet.into_iter();
     let mut summaries = Vec::with_capacity(slots.len());
     for (index, slot) in slots.into_iter().enumerate() {
@@ -1896,6 +1903,33 @@ mod tests {
                 );
                 assert_same_results(got[0].as_ref().unwrap(), &want_parsed[0]);
             }
+        }
+    }
+
+    #[test]
+    fn load_failures_hold_no_residency() {
+        let m = spin_module("m", 2);
+        let configs = vec![PipelineConfig::for_variant(Variant::Control)];
+        for window in [None, Some(1), Some(4)] {
+            let opts = FleetOptions {
+                parallel: false,
+                window,
+                ..FleetOptions::default()
+            };
+            let items = vec![
+                StreamItem::Module {
+                    name: "m".into(),
+                    module: m.clone(),
+                },
+                StreamItem::Failed {
+                    name: "file:gone.ir".into(),
+                    error: "cannot read `gone.ir`: missing".into(),
+                },
+            ];
+            let (_, stats, _) = stream_collect(items, &configs, &opts);
+            assert_eq!(stats.modules, 2, "window={window:?}");
+            assert_eq!(stats.peak_resident_modules, 1, "window={window:?}");
+            assert_eq!(stats.peak_resident_insts, m.total_insts() as u64);
         }
     }
 

@@ -32,7 +32,7 @@ pub mod splash;
 pub mod synthetic;
 
 pub use manifest::{
-    resolve_spec, resolve_spec_at, resolve_specs, split_corpus, ManifestEntry, ManifestError,
+    is_file_backed, resolve_spec, resolve_specs, split_corpus, ManifestEntry, ManifestError,
     ModuleSource, ModuleSplitter, SourceItem,
 };
 pub use synthetic::synthetic_scaled;

@@ -22,8 +22,8 @@
 //! kernels). Unknown families and names are [`ManifestError`]s, not
 //! silent skips — a batch service must fail loudly on a typo'd
 //! manifest — and a spec read from a manifest file carries the file and
-//! line it came from ([`resolve_spec_at`]) so the operator can fix the
-//! right entry.
+//! line it came from ([`ModuleSource::push_spec_at`]) so the operator can
+//! fix the right entry.
 //!
 //! `file:` modules are parsed, **not validated**: structural
 //! verification is the fleet's job (its pre-analysis gate quarantines
@@ -194,16 +194,11 @@ pub fn resolve_spec(spec: &str, params: &Params) -> Result<Vec<ManifestEntry>, M
     }
 }
 
-/// [`resolve_spec`], attaching the manifest-file origin (`file`,
-/// 1-based `line`) to any error — the CLI's manifest reader uses this so
-/// a typo'd entry reports exactly where to fix it.
-pub fn resolve_spec_at(
-    spec: &str,
-    params: &Params,
-    file: &str,
-    line: u32,
-) -> Result<Vec<ManifestEntry>, ManifestError> {
-    resolve_spec(spec, params).map_err(|e| e.at(file, line))
+/// Whether `spec` names a file-backed family (`file:`, `dir:`, `pack:`).
+/// A [`ModuleSource`] reads these lazily, so their failures are per-item
+/// load failures rather than spec errors.
+pub fn is_file_backed(spec: &str) -> bool {
+    matches!(spec.split_once(':'), Some(("file" | "dir" | "pack", _)))
 }
 
 fn unknown<'a>(spec: &str, family: &str, valid: impl Iterator<Item = &'a str>) -> ManifestError {
@@ -388,29 +383,19 @@ impl ModuleSource {
     /// can fail) here; `file:`/`dir:`/`pack:` specs are recorded without
     /// touching the filesystem.
     pub fn push_spec(&mut self, spec: &str) -> Result<(), ManifestError> {
-        let family = spec.split_once(':').map(|(f, _)| f);
-        match family {
-            Some("file") => {
-                let (_, path) = spec.split_once(':').unwrap();
-                self.queue.push_back(Pending::File(path.to_string()));
+        if !is_file_backed(spec) {
+            for entry in resolve_spec(spec, &self.params)? {
+                self.queue.push_back(Pending::Entry(entry));
             }
-            Some("dir") => {
-                let (_, path) = spec.split_once(':').unwrap();
-                self.queue.push_back(Pending::Dir(path.to_string()));
-            }
-            Some("pack") => {
-                let (_, path) = spec.split_once(':').unwrap();
-                self.queue.push_back(Pending::Pack {
-                    path: path.to_string(),
-                    state: None,
-                });
-            }
-            _ => {
-                for entry in resolve_spec(spec, &self.params)? {
-                    self.queue.push_back(Pending::Entry(entry));
-                }
-            }
+            return Ok(());
         }
+        let (family, path) = spec.split_once(':').unwrap();
+        let path = path.to_string();
+        self.queue.push_back(match family {
+            "file" => Pending::File(path),
+            "dir" => Pending::Dir(path),
+            _ => Pending::Pack { path, state: None },
+        });
         Ok(())
     }
 
@@ -601,20 +586,28 @@ mod tests {
 
     #[test]
     fn origin_is_attached_and_displayed() {
-        let p = Params::tiny();
-        let err = resolve_spec_at("kernel:NoSuch", &p, "jobs.txt", 7).unwrap_err();
+        let mut source = ModuleSource::new(Params::tiny());
+        let err = source
+            .push_spec_at("kernel:NoSuch", "jobs.txt", 7)
+            .unwrap_err();
         assert_eq!(err.file.as_deref(), Some("jobs.txt"));
         assert_eq!(err.line, Some(7));
         let shown = err.to_string();
         assert!(shown.starts_with("jobs.txt:7: "), "{shown}");
         assert!(shown.contains("bad spec `kernel:NoSuch`"));
         // And a good spec at an origin resolves normally.
-        assert_eq!(
-            resolve_spec_at("kernel:Dekker", &p, "jobs.txt", 1)
-                .unwrap()
-                .len(),
-            1
-        );
+        source.push_spec_at("kernel:Dekker", "jobs.txt", 1).unwrap();
+        assert_eq!(source.count(), 1);
+    }
+
+    #[test]
+    fn file_backed_families() {
+        for spec in ["file:a.fir", "dir:mods", "pack:corpus.pack", "dir:"] {
+            assert!(is_file_backed(spec), "{spec}");
+        }
+        for spec in ["kernel:*", "synthetic:40", "files:a", "file", "plainword"] {
+            assert!(!is_file_backed(spec), "{spec}");
+        }
     }
 
     #[test]

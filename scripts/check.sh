@@ -14,7 +14,7 @@
 #            + release build of the perfbench harness (BENCHMARK.json)
 #   faults   cargo test --features faultinject (fault-injection matrix)
 #   certify  litmus regressions + differential certify fuzz + CLI smoke
-#   stream   streamed-vs-resident differential + CLI --stream and pack: smokes
+#   stream   default-vs-windowed differential + CLI --window and pack: smokes
 #   serve    service suite (protocol contract + cache pins) + daemon smoke
 #   all      every stage above, in CI order (the default)
 set -euo pipefail
@@ -75,16 +75,17 @@ stage_certify() {
 }
 
 stage_stream() {
-  echo "== streamed-vs-resident differential =="
+  echo "== default-vs-windowed differential (window None vs Some(w)) =="
   cargo test -q -p fence-suite --test stream
 
-  echo "== fenceplace --stream smoke (kernels, windowed) =="
-  # Windowed streaming over the built-in kernels must complete cleanly;
+  echo "== fenceplace --window smoke (kernels, windowed) =="
+  # The windowed scheduler over the built-in kernels must complete
+  # cleanly, like the default (resident) run every other stage makes;
   # any quarantined module or unsound certification exits 2 and fails
   # the stage.
   cargo run --release --quiet --bin fenceplace -- \
     --program 'kernel:*' --config Control:x86tso --config Pensieve:weak \
-    --stream --window 4
+    --window 4
 
   echo "== fenceplace pack: smoke (the nine kernels' printed IR as one pack) =="
   # The pack must split back into nine modules that all parse and place:

@@ -20,7 +20,7 @@
 //! SIGTERM terminate it with the cache lost, which is safe — the cache
 //! is a performance artifact, never the source of truth.
 
-use corpus::manifest::resolve_spec;
+use corpus::manifest::{is_file_backed, resolve_spec};
 use corpus::Params;
 use fenceplace::json;
 use fenceplace::service::wire::{self, Request, PROTOCOL_VERSION};
@@ -238,10 +238,9 @@ fn handle_line(
                         }
                         out.push(wire::batch_json(id, entries.len(), hits, failed));
                     }
-                    Err(e) if crate::is_file_backed(&spec) => {
-                        // Parity with the batch CLI: an unreadable
-                        // file-backed spec is quarantined as one
-                        // load_failed slot, not a protocol error.
+                    Err(e) if is_file_backed(&spec) => {
+                        // An unreadable file-backed spec is quarantined
+                        // as one load_failed slot, not a protocol error.
                         let outcome = ModuleOutcome::LoadFailed {
                             error: e.to_string(),
                         };

@@ -158,6 +158,26 @@ fn fail_fast_turns_partial_into_fatal() {
         "--fail-fast must not write partial reports"
     );
 
+    // The windowed scheduler spills each report as its module retires;
+    // a trip must take those back too.
+    let out = fenceplace(&[
+        "--program",
+        "kernel:Dekker",
+        "--program",
+        &spec,
+        "--window",
+        "2",
+        "--fail-fast",
+        "--out",
+        reports.to_str().unwrap(),
+    ]);
+    assert_eq!(exit_code(&out), 1, "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("--fail-fast"));
+    assert!(
+        !reports.exists(),
+        "--window --fail-fast must not leave partial reports"
+    );
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -311,8 +331,8 @@ fn streamed_reports_are_byte_identical_to_resident() {
     let dir = scratch("streamed");
     let mods = dir.join("mods");
     std::fs::create_dir_all(&mods).unwrap();
-    // Two parseable modules in a directory; the dir: spec resolves them
-    // eagerly resident and lazily streamed.
+    // Two parseable modules in a directory, run by the default (resident)
+    // scheduler and by the windowed one.
     std::fs::write(mods.join("a.ir"), FENCED_SB_IR).unwrap();
     std::fs::write(
         mods.join("b.ir"),
@@ -328,7 +348,6 @@ fn streamed_reports_are_byte_identical_to_resident() {
     let streamed = fenceplace(&[
         "--program",
         &spec,
-        "--stream",
         "--window",
         "2",
         "--out",
@@ -360,7 +379,6 @@ fn streamed_reports_are_byte_identical_to_resident() {
 #[test]
 fn mid_stream_load_failure_is_partial_success() {
     let out = fenceplace(&[
-        "--stream",
         "--window",
         "2",
         "--program",
@@ -376,20 +394,84 @@ fn mid_stream_load_failure_is_partial_success() {
     assert!(stderr(&out).contains("quarantined"));
 
     // A duplicate spec is likewise quarantined at admission (the lazy
-    // stream cannot refuse it up front like the resident path does).
-    let out = fenceplace(&[
-        "--stream",
-        "--program",
-        "kernel:Dekker",
-        "--program",
-        "kernel:Dekker",
-    ]);
+    // stream cannot refuse it up front).
+    let out = fenceplace(&["--program", "kernel:Dekker", "--program", "kernel:Dekker"]);
     assert_eq!(exit_code(&out), 2, "stderr: {}", stderr(&out));
     assert!(
         stdout(&out).contains("duplicate program"),
         "{}",
         stdout(&out)
     );
+
+    // The duplicate writes no report of its own: the module's report
+    // keeps its placement, whichever slot retires last.
+    let dir = scratch("duplicate");
+    for window in [None, Some("2")] {
+        let reports = dir.join(format!("reports-{}", window.unwrap_or("none")));
+        let mut args = vec![
+            "--program",
+            "kernel:*",
+            "--program",
+            "kernel:Dekker",
+            "--out",
+            reports.to_str().unwrap(),
+        ];
+        if let Some(w) = window {
+            args.extend(["--window", w]);
+        }
+        let out = fenceplace(&args);
+        assert_eq!(exit_code(&out), 2, "stderr: {}", stderr(&out));
+        let kernels = stdout(&out).matches("\"status\": \"ok\"").count();
+        assert!(kernels > 1, "{}", stdout(&out));
+        let written = format!("wrote {kernels} module reports");
+        assert!(stderr(&out).contains(&written), "{}", stderr(&out));
+        let report = std::fs::read_to_string(reports.join("kernel_Dekker.json")).unwrap();
+        assert!(
+            report.contains("\"status\": \"ok\""),
+            "{window:?}: {report}"
+        );
+        assert!(!report.contains("duplicate"), "{window:?}: {report}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unparsable_file_in_dir_keeps_its_siblings() {
+    let dir = scratch("dir-garbage");
+    let mods = dir.join("mods");
+    std::fs::create_dir_all(&mods).unwrap();
+    std::fs::write(mods.join("a.fir"), FENCED_SB_IR).unwrap();
+    std::fs::write(mods.join("b.fir"), "not IR at all\n").unwrap();
+    let spec = format!("dir:{}", mods.display());
+    let reports = dir.join("reports");
+
+    let out = fenceplace(&["--program", &spec, "--out", reports.to_str().unwrap()]);
+    assert_eq!(exit_code(&out), 2, "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert_eq!(text.matches("\"status\": \"ok\"").count(), 1, "{text}");
+    assert_eq!(
+        text.matches("\"status\": \"invalid_ir\"").count(),
+        1,
+        "{text}"
+    );
+    assert!(text.contains("\"stream\": {\"window\": null"), "{text}");
+    // One report per module, the healthy sibling's included.
+    let mut names: Vec<String> = std::fs::read_dir(&reports)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n != "fleet_summary.json")
+        .collect();
+    names.sort();
+    assert_eq!(names.len(), 2, "{names:?}");
+    for (name, status) in names.iter().zip(["ok", "invalid_ir"]) {
+        let body = std::fs::read_to_string(reports.join(name)).unwrap();
+        assert!(
+            body.contains(&format!("\"status\": \"{status}\"")),
+            "{name}: {body}"
+        );
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -399,7 +481,7 @@ fn streamed_unparsable_text_is_quarantined_as_invalid_ir() {
     std::fs::write(&bad, "not IR at all\n").unwrap();
     let spec = format!("file:{}", bad.display());
 
-    let out = fenceplace(&["--stream", "--program", "kernel:Dekker", "--program", &spec]);
+    let out = fenceplace(&["--program", "kernel:Dekker", "--program", &spec]);
     assert_eq!(exit_code(&out), 2, "stderr: {}", stderr(&out));
     let text = stdout(&out);
     assert!(text.contains("\"status\": \"invalid_ir\""), "{text}");
